@@ -33,7 +33,6 @@ from .asymptotics import (
     run_short_sum_experiment,
 )
 from .errors import (
-    CacheError,
     HyplabError,
     InvalidSpecError,
     PreconditionError,

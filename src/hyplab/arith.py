@@ -9,15 +9,17 @@ Three engines cover every spec:
     a single local value into the output slot.  Leftover cofactors above
     sqrt(hi) are prime and contribute the exponent-1 local value.
 
-2.  Prefix divisor loops.  Convolutions, generalized von Mangoldt functions
-    and Dirichlet inverses on a prefix [1, N] are built by the classical
-    O(N log N) sieve-of-divisors accumulation.  Windows that sit below a
-    configurable bound reuse a cached prefix table.
+2.  Prefix divisor loops.  Convolutions on a prefix [1, N] are built by the
+    classical O(N log N) sieve-of-divisors accumulation.  Windows that sit
+    below a configurable bound reuse a cached prefix table.
 
 3.  Per-point recursion.  Isolated arguments and far-out windows of
     non-multiplicative specs are evaluated from the factorization, with
     divisors enumerated alongside their exponent vectors so no divisor is
     ever re-factorized.
+
+Each engine evaluates :func:`hyplab.specs.base_form` of its spec, in which the
+von Mangoldt shorthands are convolutions of the other kinds.
 
 Integer work is exact everywhere: the int64 fast paths carry explicit bound
 guards and escalate to Python integers rather than ever wrapping around.
@@ -35,9 +37,9 @@ from .errors import InvalidSpecError, PreconditionError, SegmentCapError
 from .specs import (
     FuncSpec,
     MAX_N,
+    base_form,
     convolve,
     dirichlet_inverse,
-    log_pow,
     mobius,
     prime_power_locals,
 )
@@ -70,6 +72,9 @@ PREFIX_WINDOW_MAX = 4_000_000
 
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
 _INT64_SAFE = 1 << 62
+
+#: Divisors per block of the large-d prefix convolution; bounds its temporaries.
+_CONV_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -243,42 +248,40 @@ def _checked_int_cumsum(vals: np.ndarray) -> np.ndarray:
 
 
 def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
-    """Prefix values of the Dirichlet convolution of two prefix value arrays."""
+    """Prefix values of the Dirichlet convolution of two prefix value arrays.
+
+    Each out[m] adds f(d) g(m/d) in increasing d, so float results do not
+    depend on the route: one strided slice per d <= sqrt(N), then blocks of
+    larger d swept by cofactor j from high to low (for a fixed m, a larger j
+    is a smaller d).
+    """
     if np.count_nonzero(fv[1:]) > np.count_nonzero(gv[1:]):
         fv, gv = gv, fv
     isint = fv.dtype.kind == "i" and gv.dtype.kind == "i"
     out = np.zeros(N + 1, dtype=np.int64 if isint else np.float64)
-    nz = np.nonzero(fv[1:])[0]
-    for d0 in nz:
-        d = int(d0) + 1
+    S = math.isqrt(N)
+    nz = np.flatnonzero(fv[1:])
+    nz += 1
+    split = np.searchsorted(nz, S, side="right")
+    for d in nz[:split].tolist():
         out[d::d] += fv[d] * gv[1 : N // d + 1]
+    for lo in range(split, nz.size, _CONV_BLOCK):
+        big = nz[lo : lo + _CONV_BLOCK]
+        for j in range(N // int(big[0]), 0, -1):
+            ds = big[: np.searchsorted(big, N // j, side="right")]
+            out[ds * j] += fv[ds] * gv[j]
     return out
-
-
-def _inverse_prefix_values(gv: np.ndarray, N: int) -> np.ndarray:
-    """Dirichlet inverse on [1, N] for g with g(1) = +-1 (int) or g(1) != 0."""
-    isint = gv.dtype.kind == "i" and int(gv[1]) in (1, -1)
-    dtype = np.int64 if isint else np.float64
-    inv = np.zeros(N + 1, dtype=dtype)
-    acc = np.zeros(N + 1, dtype=dtype)
-    g1 = int(gv[1]) if isint else float(gv[1])
-    inv[1] = g1 if isint else 1.0 / g1
-    for n in range(1, N + 1):
-        if n > 1:
-            inv[n] = -acc[n] * g1 if isint else -acc[n] / g1
-        if 2 * n <= N:
-            acc[2 * n :: n] += inv[n] * gv[2 : N // n + 1]
-    return inv
 
 
 def _build_prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
     """Value array v with v[0] = 0 and v[n] = spec(n) for 1 <= n <= N."""
-    kind = spec.kind
+    spec = base_form(spec)
     if prime_power_locals(spec) is not None:
         w = _mult_window_values(spec, 1, N)
         v = np.zeros(N + 1, dtype=w.dtype)
         v[1:] = w
         return v
+    kind = spec.kind
     if kind == "log_pow":
         v = np.zeros(N + 1, dtype=np.float64)
         v[1:] = np.log(np.arange(1, N + 1, dtype=np.float64)) ** spec.param
@@ -291,19 +294,6 @@ def _build_prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
         a = _build_prefix_values(spec.children[0], N)
         b = _build_prefix_values(spec.children[1], N)
         return _conv_prefix_values(a, b, N)
-    if kind == "lambda_k":
-        mu = _build_prefix_values(mobius(), N)
-        lg = _build_prefix_values(log_pow(spec.param), N)
-        return _conv_prefix_values(mu, lg, N)
-    if kind == "dirichlet_inverse":
-        g = _build_prefix_values(spec.children[0], N)
-        return _inverse_prefix_values(g, N)
-    if kind == "lambda_attached":
-        g = spec.children[0]
-        gv = _build_prefix_values(g, N)
-        glog = gv.astype(np.float64) * _build_prefix_values(log_pow(1), N)
-        inv = _inverse_prefix_values(gv, N).astype(np.float64)
-        return _conv_prefix_values(glog, inv, N)
     raise InvalidSpecError(f"no prefix engine for spec kind {kind!r}")
 
 
@@ -357,28 +347,20 @@ def prefix_sums(spec: FuncSpec, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _divisor_items(fac: list[tuple[int, int]]):
-    """Yield (d, fac_d) for every divisor d of the factored integer."""
-    items = [(1, [])]
+def _divisor_triples(fac: list[tuple[int, int]]):
+    """(d, fac_d, fac_{n/d}) for every divisor d of n, in a fixed order."""
+    items = [(1, [], [])]
     for p, e in fac:
         grown = []
-        for d, df in items:
+        for d, df, cf in items:
             q = 1
             for j in range(1, e + 1):
                 q *= p
-                grown.append((d * q, df + [(p, j)]))
+                rest = cf + [(p, e - j)] if j < e else cf[:]
+                grown.append((d * q, df + [(p, j)], rest))
+            cf.append((p, e))
         items.extend(grown)
     return items
-
-
-def _complement(fac, dfac):
-    dmap = dict(dfac)
-    out = []
-    for p, e in fac:
-        r = e - dmap.get(p, 0)
-        if r:
-            out.append((p, r))
-    return out
 
 
 def _eval_fac(spec: FuncSpec, n: int, fac: list[tuple[int, int]]):
@@ -393,78 +375,25 @@ def _eval_fac(spec: FuncSpec, n: int, fac: list[tuple[int, int]]):
     kind = spec.kind
     if kind == "log_pow":
         return math.log(n) ** spec.param
-    if kind == "lambda_k":
-        # mobius kills non-squarefree divisors: sum over subsets of the primes
-        k = spec.param
-        ps = [p for p, _ in fac]
-        total = 0.0
-        for mask in range(1 << len(ps)):
-            d = 1
-            bits = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    d *= ps[i]
-                    bits += 1
-                m >>= 1
-                i += 1
-            term = math.log(n // d) ** k if n // d > 1 else 0.0
-            total += term if bits % 2 == 0 else -term
-        return total
     if kind == "pointwise":
         return _eval_fac(spec.children[0], n, fac) * _eval_fac(spec.children[1], n, fac)
     if kind == "convolve":
+        # integer convolutions have prime-power locals, so this sum is real
         f, g = spec.children
-        total = 0 if spec.integer_valued else 0.0
-        for d, dfac in _divisor_items(fac):
-            total += _eval_fac(f, d, dfac) * _eval_fac(g, n // d, _complement(fac, dfac))
-        return total
-    if kind == "dirichlet_inverse":
-        return _lattice_inverse(spec.children[0], n, fac)[n]
-    if kind == "lambda_attached":
-        g = spec.children[0]
-        inv = _lattice_inverse(g, n, fac)
         total = 0.0
-        for d, dfac in _divisor_items(fac):
-            if d == 1:
-                continue
-            gd = _eval_fac(g, d, dfac)
-            if gd:
-                total += gd * math.log(d) * inv[n // d]
+        for d, dfac, cfac in _divisor_triples(fac):
+            fd = _eval_fac(f, d, dfac)
+            if fd:
+                total += fd * _eval_fac(g, n // d, cfac)
         return total
     raise InvalidSpecError(f"cannot evaluate spec kind {kind!r}")
-
-
-def _lattice_inverse(g: FuncSpec, n: int, fac) -> dict[int, object]:
-    """Dirichlet inverse of g on the divisor lattice of n."""
-    g1 = g.value_at_1()
-    if g1 == 0:
-        raise InvalidSpecError(f"dirichlet inverse needs g(1) != 0, got {g.key}")
-    items = sorted(_divisor_items(fac))
-    facmap = {d: df for d, df in items}
-    exact = g.integer_valued and g1 in (1, -1)
-    inv: dict[int, object] = {}
-    for d, _ in items:
-        if d == 1:
-            inv[1] = g1 if exact else 1.0 / g1
-            continue
-        s = 0 if exact else 0.0
-        for t, tf in _divisor_items(facmap[d]):
-            if t == 1:
-                continue
-            gt = _eval_fac(g, t, tf)
-            if gt:
-                s += gt * inv[d // t]
-        inv[d] = -s * g1 if exact else -s / g1
-    return inv
 
 
 def evaluate_point(spec: FuncSpec, n: int):
     """Exact value of the spec at n (int for integer-valued specs)."""
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"evaluate_point requires 1 <= n <= 2^63-1, got {n}")
-    return _eval_fac(spec, n, factorize(n))
+    return _eval_fac(base_form(spec), n, factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +435,10 @@ def _choose_engine(spec: FuncSpec, lo: int, hi: int):
         return "x", _prefix_engine
 
     def _point_engine(s, a, b):
+        # integer specs all have prime-power locals, so s is real here
+        s = base_form(s)
         facs = _factor_window(a, b)
-        isint = s.integer_valued
-        out = np.empty(b - a + 1, dtype=np.int64 if isint else np.float64)
+        out = np.empty(b - a + 1, dtype=np.float64)
         for i, fac in enumerate(facs):
             out[i] = _eval_fac(s, a + i, fac)
         return out
@@ -623,14 +553,7 @@ def short_sum_bruteforce(
 
 def dirichlet_convolve_point(f: FuncSpec, g: FuncSpec, n: int):
     """(f * g)(n) = sum over d | n of f(d) g(n/d), evaluated directly."""
-    if not (1 <= n <= MAX_N):
-        raise PreconditionError(f"convolution point requires 1 <= n <= 2^63-1, got {n}")
-    fac = factorize(n)
-    isint = f.integer_valued and g.integer_valued
-    total = 0 if isint else 0.0
-    for d, dfac in _divisor_items(fac):
-        total += _eval_fac(f, d, dfac) * _eval_fac(g, n // d, _complement(fac, dfac))
-    return total
+    return evaluate_point(convolve(f, g), n)
 
 
 def dirichlet_inverse_prefix(
@@ -638,15 +561,13 @@ def dirichlet_inverse_prefix(
 ) -> ValueTable:
     """Table of the convolution inverse of g on [1, N].
 
-    Exact integers when g is integer-valued (every integer family here has
-    g(1) = 1, so the recurrence never divides), doubles otherwise.
+    Exact integers: every g with g(1) != 0 is integer-valued with g(1) = 1.
     """
     cap = SEGMENT_CAP if segment_cap is None else segment_cap
-    if g.value_at_1() == 0:
-        raise InvalidSpecError(f"dirichlet inverse requires g(1) != 0, got {g.key}")
+    inv = dirichlet_inverse(g)  # validates g(1) != 0
     if N > cap:
         raise SegmentCapError(f"inverse table of {N} entries exceeds the cap {cap}")
-    return sieve_range(dirichlet_inverse(g), 1, N, segment_cap=cap)
+    return sieve_range(inv, 1, N, segment_cap=cap)
 
 
 def eratosthenes_transform(

@@ -23,7 +23,3 @@ class SegmentCapError(ResourceLimitError):
 
 class WorkCapError(ResourceLimitError):
     """A divisor-tuple enumeration would exceed the work cap."""
-
-
-class CacheError(HyplabError):
-    """An on-disk table cache entry cannot be used."""

@@ -85,19 +85,17 @@ def divisors(n: int) -> DivisorList:
     return DivisorList(n, divs)
 
 
-def _divisor_cache(n: int) -> dict[int, list[int]]:
-    """Lazy map from each divisor value of n to its own sorted divisor list."""
-    full = divisors(n).divisors
-    cache = {n: full, 1: [1]}
+class _DivisorMap(dict):
+    """Lazy map from each divisor m of n to its sorted divisors, given n's."""
 
-    class _Lazy(dict):
-        def __missing__(self, m):
-            ds = [d for d in full if m % d == 0]
-            self[m] = ds
-            return ds
+    def __init__(self, full: list[int]) -> None:
+        super().__init__({full[-1]: full, 1: [1]})
+        self._full = full
 
-    lazy = _Lazy(cache)
-    return lazy
+    def __missing__(self, m: int) -> list[int]:
+        ds = [d for d in self._full if m % d == 0]
+        self[m] = ds
+        return ds
 
 
 def _last_coordinate_best(mult: dict[int, int], divmap) -> tuple[int, float]:
@@ -172,7 +170,7 @@ def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
         raise PreconditionError(f"delta_r supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"delta_r requires 1 <= n <= 2^63-1, got {n}")
-    divmap = _divisor_cache(n)
+    divmap = _DivisorMap(divisors(n).divisors)
     tau = len(divmap[n])
     if tau ** (r - 1) > cap:
         raise WorkCapError(
@@ -185,7 +183,7 @@ def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
 
 def window_tuple_count(n: int, u: tuple[float, ...]) -> int:
     """Direct recount of divisor tuples inside the windows (e^{u_i}, e^{u_i+1}]."""
-    divmap = _divisor_cache(n)
+    divmap = _DivisorMap(divisors(n).divisors)
 
     def rec(m: int, i: int) -> int:
         if i == len(u):
@@ -242,7 +240,7 @@ def delta_r_grid_oracle(n: int, r: int, grid_step: float = 1e-4) -> int:
         raise PreconditionError(f"grid oracle supports r in {{2, 3}}, got {r}")
     if n < 1:
         raise PreconditionError(f"grid oracle requires n >= 1, got {n}")
-    divmap = _divisor_cache(n)
+    divmap = _DivisorMap(divisors(n).divisors)
     divs = divmap[n]
     logs = [math.log(d) for d in divs]
     u_max = math.log(n)
@@ -336,17 +334,7 @@ def _delta_from_divlist(ds: list[int], r: int, budget: _Budget) -> int:
             j = bisect_left(ds, v * _E_TOP)
             best = max(best, j - i)
         return best
-    n = ds[-1]
-    full = ds
-
-    class _Lazy(dict):
-        def __missing__(self, m):
-            sub = [d for d in full if m % d == 0]
-            self[m] = sub
-            return sub
-
-    divmap = _Lazy({n: ds, 1: [1]})
-    value, _ = _best_windows({n: 1}, r - 1, divmap, budget)
+    value, _ = _best_windows({ds[-1]: 1}, r - 1, _DivisorMap(ds), budget)
     return value
 
 

@@ -19,12 +19,16 @@ composition:
 - ``pointwise(f, g)``pointwise product
 - ``dirichlet_inverse(g)``  convolution inverse of g, requires g(1) != 0
 
+``lambda_k`` and ``lambda_attached`` are named shorthands: they keep their kinds
+and keys, and :func:`base_form` writes them out in the other kinds.
+
 Specs are immutable and hashable; the canonical ``key`` string doubles as the
 cache identity of every table sieved from the spec.  All evaluation lives in
 :mod:`hyplab.arith`.  This module only encodes structure: value domains,
 multiplicativity, and the values taken on prime powers when those depend on the
-exponent alone.  That last property holds for every integer-valued family here
-and is what makes fully vectorized window sieving possible.
+exponent alone.  Every integer-valued spec has such values and f(1) = 1, which
+makes fully vectorized window sieving possible; every real-valued spec has
+f(1) = 0, so only integer specs have a Dirichlet inverse.
 """
 
 from __future__ import annotations
@@ -51,29 +55,13 @@ __all__ = [
     "convolve",
     "pointwise",
     "dirichlet_inverse",
+    "base_form",
     "MAX_N",
 ]
 
 #: Largest admissible argument for pointwise evaluation (signed 64-bit range).
 MAX_N = 2**63 - 1
 
-_BASE_KINDS = frozenset(
-    {
-        "one",
-        "identity_at_1",
-        "mobius",
-        "mu_k",
-        "tau_m",
-        "tau_kfree",
-        "two_pow_omega",
-        "three_pow_omega",
-        "log_pow",
-        "lambda_k",
-    }
-)
-_COMPOSITE_KINDS = frozenset(
-    {"convolve", "pointwise", "lambda_attached", "dirichlet_inverse"}
-)
 _PARAMETRIC = frozenset({"mu_k", "tau_m", "tau_kfree", "log_pow", "lambda_k"})
 
 
@@ -190,12 +178,8 @@ def _value_at_1(spec: FuncSpec):
         a = _value_at_1(spec.children[0])
         b = _value_at_1(spec.children[1])
         return a * b
-    if kind == "dirichlet_inverse":
-        g1 = _value_at_1(spec.children[0])
-        if g1 in (1, -1):
-            return g1
-        return 1.0 / g1
-    # every remaining base family has f(1) = 1
+    # every remaining kind has f(1) = 1; an inverse exists only for integer g,
+    # and those all have g(1) = 1
     return 1
 
 
@@ -204,12 +188,27 @@ def _integer_valued(spec: FuncSpec) -> bool:
     kind = spec.kind
     if kind in ("log_pow", "lambda_k", "lambda_attached"):
         return False
-    if kind in ("convolve", "pointwise"):
+    if kind in ("convolve", "pointwise", "dirichlet_inverse"):
         return all(_integer_valued(c) for c in spec.children)
-    if kind == "dirichlet_inverse":
-        g = spec.children[0]
-        return _integer_valued(g) and _value_at_1(g) in (1, -1)
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def base_form(spec: FuncSpec) -> FuncSpec:
+    """The same function with the shorthands written out in the other kinds.
+
+    ``lambda_k(k) = mobius * log^k``; ``lambda_attached(g) = (g x log) * g^{-1}``
+    because the attached function satisfies ``attached * g = g x log``.
+    """
+    kind = spec.kind
+    if kind == "lambda_k":
+        return convolve(mobius(), log_pow(spec.param))
+    if kind == "lambda_attached":
+        g = base_form(spec.children[0])
+        return convolve(pointwise(g, log_pow(1)), dirichlet_inverse(g))
+    if not spec.children:
+        return spec
+    return FuncSpec(kind, spec.param, tuple(base_form(c) for c in spec.children))
 
 
 @functools.lru_cache(maxsize=None)

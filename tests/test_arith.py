@@ -12,7 +12,7 @@ from conftest import (
     brute_mobius,
     brute_tau_m,
 )
-from hyplab import arith, specs
+from hyplab import arith, registry, specs
 from hyplab.errors import InvalidSpecError, PreconditionError, SegmentCapError
 
 
@@ -84,6 +84,8 @@ def test_far_window_pointwise_engine():
         specs.convolve(specs.log_pow(1), specs.log_pow(1)),
         specs.lambda_k(1),
         specs.convolve(specs.lambda_k(1), specs.convolve(specs.tau_m(2), specs.log_pow(1))),
+        specs.lambda_attached(specs.mu_k(2)),
+        registry.make_entry("cor7_lambda_g").F_spec,
     ):
         tab = arith.sieve_range(s, lo, hi)
         for n in range(lo, hi + 1):

@@ -1,6 +1,6 @@
 import pytest
 
-from hyplab import specs
+from hyplab import registry, specs
 from hyplab.errors import InvalidSpecError
 
 
@@ -58,3 +58,26 @@ def test_value_at_1():
     assert specs.one().value_at_1() == 1
     assert specs.log_pow(1).value_at_1() == 0.0
     assert specs.convolve(specs.mobius(), specs.one()).value_at_1() == 1
+
+
+def _nodes(spec):
+    yield spec
+    for c in spec.children:
+        yield from _nodes(c)
+
+
+def test_value_domain_invariants():
+    # integer nodes sieve from exponent-only locals and real nodes vanish at
+    # 1, so only integer specs have inverses and those never divide
+    roots = list(registry.base_specs().values())
+    for e in registry.default_entries():
+        roots += [e.F_spec, e.f_spec]
+    for _, f, g in registry.hyperbola_pairs():
+        roots += [f, g]
+    for root in roots:
+        for node in _nodes(root):
+            if node.integer_valued:
+                assert specs.prime_power_locals(node) is not None, node.key
+                assert node.value_at_1() == 1, node.key
+            else:
+                assert node.value_at_1() == 0, node.key

@@ -1,32 +1,26 @@
 """Exact evaluation of arithmetic functions, pointwise and on integer ranges.
 
-Three engines cover every spec:
+Every route evaluates the normal form :func:`hyplab.specs.base_form`.  Values
+on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
+(exponent-only prime-power values) go through the vectorized multiplicative
+sieve, one sweep per prime p <= sqrt(hi); ``log_pow`` is one numpy expression;
+a real convolution runs one sweep, a strided slice per d <= sqrt(hi) and the
+larger d by cofactor from high to low.
 
-1.  Vectorized multiplicative sieve.  For specs whose prime-power values
-    depend on the exponent alone (all integer families and their convolution
-    or pointwise closures), a window (lo, hi] is swept once per prime
-    p <= sqrt(hi); extracting the exponent of p at each multiple multiplies
-    a single local value into the output slot.  Leftover cofactors above
-    sqrt(hi) are prime and contribute the exponent-1 local value.
-
-2.  Prefix divisor loops.  Convolutions on a prefix [1, N] are built by the
-    classical O(N log N) sieve-of-divisors accumulation.  Windows that sit
-    below a configurable bound reuse a cached prefix table.
-
-3.  Per-point recursion.  Isolated arguments and far-out windows of
-    non-multiplicative specs are evaluated from the factorization, with
-    divisors enumerated alongside their exponent vectors so no divisor is
-    ever re-factorized.
-
-Each engine evaluates :func:`hyplab.specs.base_form` of its spec, in which the
-von Mangoldt shorthands are convolutions of the other kinds.
-
-Integer work is exact everywhere: the int64 fast paths carry explicit bound
-guards and escalate to Python integers rather than ever wrapping around.
+Two range routes share that recursion.  A prefix table [1, N] sweeps whole
+child arrays and is cached; windows ending at or below ``PREFIX_WINDOW_MAX``
+are sliced from it.  A far window takes the child windows it needs from the
+recursion, at a cost that grows like y log x + x^(3/4), not like x.  The point
+route evaluates one argument from its factorization.  Every route adds a
+convolution's terms in increasing d over its first factor and computes log
+powers with the same numpy expression, so a real value does not depend on its
+route, bit for bit.  Integer work is exact: the int64 fast paths carry bound
+guards and escalate to Python integers rather than wrap around.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -173,7 +167,7 @@ def set_segment_cache(cache) -> None:
 
 
 # ---------------------------------------------------------------------------
-# engine 1: vectorized multiplicative window sieve
+# multiplicative window sieve
 # ---------------------------------------------------------------------------
 
 
@@ -221,7 +215,7 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# engine 2: prefix divisor loops + table cache
+# range recursion, convolution sweep and the prefix-table cache
 # ---------------------------------------------------------------------------
 
 _table_lock = threading.Lock()
@@ -247,54 +241,88 @@ def _checked_int_cumsum(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv_sweep(out, lo, hi, f_at, g_at) -> None:
+    """Add the values of f * g on [lo, hi] into the zeroed array ``out``.
+
+    ``f_at(a, b)`` and ``g_at(a, b)`` give f and g on [a, b].  Each out[n]
+    adds f(d) g(n/d) in increasing d, so a value does not depend on the
+    window it is computed in: one strided slice per d <= sqrt(hi), then
+    cofactors j from high to low (for a fixed n, a larger j is a smaller d),
+    the d-range of each j in chunks of _CONV_BLOCK.
+    """
+    S = math.isqrt(hi)
+    fs = f_at(1, S)
+    ds = np.arange(1, S + 1)
+    # only the d with f(d) != 0 and a multiple in [lo, hi]
+    for d in ds[(fs != 0) & ((lo - 1) // ds < hi // ds)].tolist():
+        j0 = (lo - 1) // d + 1
+        out[d * j0 - lo :: d] += fs[d - 1] * g_at(j0, hi // d)
+    J = hi // (S + 1)
+    if J == 0:
+        return
+    gs = g_at(1, J)
+    js = np.arange(J, 0, -1)
+    for j in js[(gs[::-1] != 0) & (np.maximum((lo - 1) // js, S) < hi // js)].tolist():
+        gj = gs[j - 1]
+        for a in range(max(S, (lo - 1) // j) + 1, hi // j + 1, _CONV_BLOCK):
+            b = min(a + _CONV_BLOCK - 1, hi // j)
+            out[a * j - lo : b * j - lo + 1 : j] += f_at(a, b) * gj
+
+
 def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
     """Prefix values of the Dirichlet convolution of two prefix value arrays.
 
-    Each out[m] adds f(d) g(m/d) in increasing d, so float results do not
-    depend on the route: one strided slice per d <= sqrt(N), then blocks of
-    larger d swept by cofactor j from high to low (for a fixed m, a larger j
-    is a smaller d).
+    The array form of :func:`_conv_sweep` on [1, N].  Integer sums that could
+    reach the int64 guard bound are accumulated in exact Python integers.
     """
-    if np.count_nonzero(fv[1:]) > np.count_nonzero(gv[1:]):
-        fv, gv = gv, fv
-    isint = fv.dtype.kind == "i" and gv.dtype.kind == "i"
-    out = np.zeros(N + 1, dtype=np.int64 if isint else np.float64)
-    S = math.isqrt(N)
-    nz = np.flatnonzero(fv[1:])
-    nz += 1
-    split = np.searchsorted(nz, S, side="right")
-    for d in nz[:split].tolist():
-        out[d::d] += fv[d] * gv[1 : N // d + 1]
-    for lo in range(split, nz.size, _CONV_BLOCK):
-        big = nz[lo : lo + _CONV_BLOCK]
-        for j in range(N // int(big[0]), 0, -1):
-            ds = big[: np.searchsorted(big, N // j, side="right")]
-            out[ds * j] += fv[ds] * gv[j]
+    if fv.dtype.kind == "i" and gv.dtype.kind == "i":
+        top = int(np.abs(fv[1:]).max(initial=0)) * int(np.abs(gv[1:]).max(initial=0))
+        if top * N >= _INT64_SAFE:
+            fv, gv = fv.astype(object), gv.astype(object)
+    out = np.zeros(N + 1, dtype=np.result_type(fv, gv))
+    _conv_sweep(out[1:], 1, N, lambda a, b: fv[a : b + 1], lambda a, b: gv[a : b + 1])
     return out
 
 
-def _build_prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
-    """Value array v with v[0] = 0 and v[n] = spec(n) for 1 <= n <= N."""
-    spec = base_form(spec)
+def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+    """Values of a base-form spec on [lo, hi].
+
+    A convolution on a prefix (lo = 1) evaluates each child once on [1, hi]
+    and sweeps slices of those arrays; on a far window it takes each child
+    window the sweep asks for from this recursion.
+    """
     if prime_power_locals(spec) is not None:
-        w = _mult_window_values(spec, 1, N)
-        v = np.zeros(N + 1, dtype=w.dtype)
-        v[1:] = w
-        return v
+        return _mult_window_values(spec, lo, hi)
     kind = spec.kind
     if kind == "log_pow":
-        v = np.zeros(N + 1, dtype=np.float64)
-        v[1:] = np.log(np.arange(1, N + 1, dtype=np.float64)) ** spec.param
-        return v
+        return np.log(np.arange(lo, hi + 1, dtype=np.float64)) ** spec.param
     if kind == "pointwise":
-        a = _build_prefix_values(spec.children[0], N)
-        b = _build_prefix_values(spec.children[1], N)
-        return a * b
-    if kind == "convolve":
-        a = _build_prefix_values(spec.children[0], N)
-        b = _build_prefix_values(spec.children[1], N)
-        return _conv_prefix_values(a, b, N)
-    raise InvalidSpecError(f"no prefix engine for spec kind {kind!r}")
+        f, g = spec.children
+        return _real_values(f, lo, hi) * _real_values(g, lo, hi)
+    if kind != "convolve":
+        raise InvalidSpecError(f"no window engine for spec kind {kind!r}")
+    f_at, g_at = (functools.partial(_real_values, c) for c in spec.children)
+    if lo == 1:
+        fv, gv = f_at(1, hi), g_at(1, hi)
+        f_at, g_at = (lambda a, b: fv[a - 1 : b]), (lambda a, b: gv[a - 1 : b])
+    # integer convolutions have prime-power locals, so this one is real
+    out = np.zeros(hi - lo + 1, dtype=np.float64)
+    _conv_sweep(out, lo, hi, f_at, g_at)
+    return out
+
+
+def _real_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+    """A child of a real node: exact big-int values become floats, as at a point."""
+    v = _window_values(spec, lo, hi)
+    return v.astype(np.float64) if v.dtype == object else v
+
+
+def _range_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+    return _window_values(base_form(spec), lo, hi)
+
+
+def _table_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+    return prefix_values(spec, hi)[lo : hi + 1]
 
 
 def _prefix_entry(spec: FuncSpec, N: int) -> dict:
@@ -310,7 +338,8 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
             # amortize growing access patterns; per-index values do not depend
             # on the build size, so overshooting is invisible to callers
             N = max(N, 2 * entry["N"])
-    values = _build_prefix_values(spec, N)
+    w = _range_values(spec, 1, N)
+    values = np.concatenate((np.zeros(1, dtype=w.dtype), w))
     if values.dtype.kind == "i":
         sums = _checked_int_cumsum(values)
     else:
@@ -343,12 +372,12 @@ def prefix_sums(spec: FuncSpec, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# engine 3: per-point recursion from the factorization
+# point route: recursion from the factorization
 # ---------------------------------------------------------------------------
 
 
 def _divisor_triples(fac: list[tuple[int, int]]):
-    """(d, fac_d, fac_{n/d}) for every divisor d of n, in a fixed order."""
+    """(d, fac_d, fac_{n/d}) for every divisor d of n, in increasing d."""
     items = [(1, [], [])]
     for p, e in fac:
         grown = []
@@ -360,6 +389,7 @@ def _divisor_triples(fac: list[tuple[int, int]]):
                 grown.append((d * q, df + [(p, j)], rest))
             cf.append((p, e))
         items.extend(grown)
+    items.sort(key=lambda t: t[0])
     return items
 
 
@@ -374,7 +404,8 @@ def _eval_fac(spec: FuncSpec, n: int, fac: list[tuple[int, int]]):
         return out
     kind = spec.kind
     if kind == "log_pow":
-        return math.log(n) ** spec.param
+        # the window engine's expression: math.log and numpy's log differ
+        return float((np.log(np.array([n], dtype=np.float64)) ** spec.param)[0])
     if kind == "pointwise":
         return _eval_fac(spec.children[0], n, fac) * _eval_fac(spec.children[1], n, fac)
     if kind == "convolve":
@@ -404,69 +435,24 @@ def evaluate_point(spec: FuncSpec, n: int):
 def _choose_engine(spec: FuncSpec, lo: int, hi: int):
     """Pick the window engine once, based on the full requested range.
 
-    Returns (tag, fn); the tag names the algorithm and enters the disk-cache
-    key so cached segments are only reused by the exact same numeric path.
+    Returns (tag, fn); the tag names the route and enters the disk-cache key.
+    A far window ("n") needs arrays of isqrt(hi) entries, so it is refused here,
+    before any allocation, when those would exceed the segment cap.
     """
     if prime_power_locals(spec) is not None:
         return "m", _mult_window_values
     kind = spec.kind
     if kind == "log_pow":
-        k = spec.param
-
-        def _log_engine(s, a, b):
-            return np.log(np.arange(a, b + 1, dtype=np.float64)) ** k
-
-        return "l", _log_engine
+        return "l", _range_values
     if kind == "pointwise":
-        ta, ea = _choose_engine(spec.children[0], lo, hi)
-        tb, eb = _choose_engine(spec.children[1], lo, hi)
-        fa, fb = spec.children
-
-        def _pw_engine(s, a, b):
-            return ea(fa, a, b) * eb(fb, a, b)
-
-        return f"p({ta},{tb})", _pw_engine
-    # divisor-loop specs: reuse a prefix table when the window sits low enough
+        ta, _ = _choose_engine(spec.children[0], lo, hi)
+        tb, _ = _choose_engine(spec.children[1], lo, hi)
+        return f"p({ta},{tb})", _range_values
     if lo == 1 or hi <= PREFIX_WINDOW_MAX:
-
-        def _prefix_engine(s, a, b):
-            return prefix_values(s, b)[a : b + 1]
-
-        return "x", _prefix_engine
-
-    def _point_engine(s, a, b):
-        # integer specs all have prime-power locals, so s is real here
-        s = base_form(s)
-        facs = _factor_window(a, b)
-        out = np.empty(b - a + 1, dtype=np.float64)
-        for i, fac in enumerate(facs):
-            out[i] = _eval_fac(s, a + i, fac)
-        return out
-
-    return "n", _point_engine
-
-
-def _factor_window(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """Factorizations of every n in [lo, hi] via one shared prime sweep."""
-    size = hi - lo + 1
-    rem = list(range(lo, hi + 1))
-    facs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        for m in range(start, hi + 1, p):
-            i = m - lo
-            r = rem[i]
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            rem[i] = r
-            facs[i].append((p, e))
-    for i, r in enumerate(rem):
-        if r > 1:
-            facs[i].append((r, 1))
-    return facs
+        return "x", _table_values
+    if math.isqrt(hi) > SEGMENT_CAP:
+        raise SegmentCapError(f"far window up to {hi} exceeds the segment cap {SEGMENT_CAP}")
+    return "n", _range_values
 
 
 def sieve_range(
@@ -525,25 +511,13 @@ def short_sum_bruteforce(
     if y == 0:
         return 0 if spec.integer_valued else 0.0
     pair = _choose_engine(spec, x + 1, x + y)
+    segs = (
+        sieve_range(spec, lo, min(lo + cap - 1, x + y), segment_cap=cap, _engine=pair).values
+        for lo in range(x + 1, x + y + 1, cap)
+    )
     if spec.integer_valued:
-        total = 0
-        lo = x + 1
-        while lo <= x + y:
-            hi = min(lo + cap - 1, x + y)
-            seg = sieve_range(spec, lo, hi, segment_cap=cap, _engine=pair)
-            total += _exact_int_sum(seg.values)
-            lo = hi + 1
-        return total
-
-    def _elements():
-        lo = x + 1
-        while lo <= x + y:
-            hi = min(lo + cap - 1, x + y)
-            seg = sieve_range(spec, lo, hi, segment_cap=cap, _engine=pair)
-            yield from seg.values.tolist()
-            lo = hi + 1
-
-    return math.fsum(_elements())
+        return sum(_exact_int_sum(v) for v in segs)
+    return math.fsum(v for seg in segs for v in seg.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ __all__ = ["SegmentCache", "CACHE_ENV_VAR"]
 CACHE_ENV_VAR = "HYPLAB_CACHE_DIR"
 
 _MAGIC = b"HYPLABVT"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<8sIB3sqqH")
 
 

@@ -20,7 +20,8 @@ composition:
 - ``dirichlet_inverse(g)``  convolution inverse of g, requires g(1) != 0
 
 ``lambda_k`` and ``lambda_attached`` are named shorthands: they keep their kinds
-and keys, and :func:`base_form` writes them out in the other kinds.
+and keys, and :func:`base_form`, the normal form every engine evaluates, writes
+them out in the other kinds.
 
 Specs are immutable and hashable; the canonical ``key`` string doubles as the
 cache identity of every table sieved from the spec.  All evaluation lives in
@@ -195,20 +196,43 @@ def _integer_valued(spec: FuncSpec) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def base_form(spec: FuncSpec) -> FuncSpec:
-    """The same function with the shorthands written out in the other kinds.
+    """The same function in normal form.
 
-    ``lambda_k(k) = mobius * log^k``; ``lambda_attached(g) = (g x log) * g^{-1}``
-    because the attached function satisfies ``attached * g = g x log``.
+    The shorthands are written out in the other kinds:
+    ``lambda_k(k) = mobius * log^k`` and ``lambda_attached(g) = (g x log) * g^{-1}``,
+    because the attached function satisfies ``attached * g = g x log``.  A real
+    convolution is flattened into its factors.  The real factors come first, in
+    written order and nested to the left; the integer factors are folded into
+    one trailing factor ``I``, dropped when it is the convolution identity.  So
+    cor7's ``F`` becomes ``(mu_k(2) x log) * I`` and cor8(k)'s becomes
+    ``(log^k * log^k) * I``.
     """
     kind = spec.kind
     if kind == "lambda_k":
-        return convolve(mobius(), log_pow(spec.param))
+        return base_form(convolve(mobius(), log_pow(spec.param)))
     if kind == "lambda_attached":
-        g = base_form(spec.children[0])
-        return convolve(pointwise(g, log_pow(1)), dirichlet_inverse(g))
+        g = spec.children[0]
+        return base_form(convolve(pointwise(g, log_pow(1)), dirichlet_inverse(g)))
     if not spec.children:
         return spec
-    return FuncSpec(kind, spec.param, tuple(base_form(c) for c in spec.children))
+    spec = FuncSpec(kind, spec.param, tuple(base_form(c) for c in spec.children))
+    if kind != "convolve" or prime_power_locals(spec) is not None:
+        return spec
+    factors = _factors(spec)
+    real = [f for f in factors if prime_power_locals(f) is None]
+    ints = [f for f in factors if prime_power_locals(f) is not None]
+    out = functools.reduce(convolve, real)
+    if ints:
+        unit = functools.reduce(convolve, ints)
+        if prime_power_locals(unit) != prime_power_locals(identity_at_1()):
+            out = convolve(out, unit)
+    return out
+
+
+def _factors(spec: FuncSpec) -> tuple[FuncSpec, ...]:
+    if spec.kind != "convolve":
+        return (spec,)
+    return _factors(spec.children[0]) + _factors(spec.children[1])
 
 
 @functools.lru_cache(maxsize=None)

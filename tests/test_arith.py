@@ -75,23 +75,39 @@ def test_segment_cap_enforced():
         arith.sieve_range(specs.one(), 1, 100, segment_cap=50)
 
 
-def test_far_window_pointwise_engine():
-    # beyond the prefix cap, divisor-loop specs fall back to per-point
-    # evaluation from the windowed factorization
-    lo = arith.PREFIX_WINDOW_MAX + 11
-    hi = lo + 15
-    for s in (
+def test_far_window_pointwise_engine(monkeypatch):
+    # real values do not depend on the route: windows above PREFIX_WINDOW_MAX
+    # are swept on the window itself, lower ones are sliced from the cached
+    # prefix table, and single points recurse over the factorization; every
+    # route adds a convolution's terms in increasing d over its first factor,
+    # so all three agree bit for bit
+    inputs = (
         specs.convolve(specs.log_pow(1), specs.log_pow(1)),
         specs.lambda_k(1),
+        specs.lambda_k(2),
         specs.convolve(specs.lambda_k(1), specs.convolve(specs.tau_m(2), specs.log_pow(1))),
         specs.lambda_attached(specs.mu_k(2)),
         registry.make_entry("cor7_lambda_g").F_spec,
-    ):
-        tab = arith.sieve_range(s, lo, hi)
-        for n in range(lo, hi + 1):
-            assert tab.value_at(n) == pytest.approx(
-                arith.evaluate_point(s, n), rel=1e-12, abs=1e-12
-            )
+        registry.make_entry("cor8_log_k", 1).F_spec,
+    )
+
+    def points(s, lo, hi):
+        return [arith.evaluate_point(s, n) for n in range(lo, hi + 1)]
+
+    lo = arith.PREFIX_WINDOW_MAX + 11
+    hi = lo + 15
+    for s in inputs:
+        assert arith._choose_engine(s, lo, hi)[0] == "n"
+        assert arith.sieve_range(s, lo, hi).values.tolist() == points(s, lo, hi), s.key
+    # the same at a small scale, where the prefix table is cheap to build
+    lo, hi = 20011, 20026
+    below = {s: arith.sieve_range(s, lo, hi).values.tolist() for s in inputs}
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", lo - 1)
+    for s in inputs:
+        assert arith._choose_engine(s, lo, hi)[0] == "n"
+        far = arith.sieve_range(s, lo, hi).values.tolist()
+        table = arith.prefix_values(s, hi)[lo : hi + 1].tolist()
+        assert far == below[s] == table == points(s, lo, hi), s.key
 
 
 def test_convolve_point_examples():
@@ -233,6 +249,21 @@ def test_tau_multiplicative_on_coprime_pairs():
             spec, a
         ) * arith.evaluate_point(spec, b)
         checked += 1
+
+
+def test_conv_int64_guard():
+    # products near 2^80 would wrap in int64; the sweep switches to exact ints
+    rng = random.Random(11)
+    N = 64
+    fv = np.array([0] + [rng.randrange(-(2**40), 2**40 + 1) for _ in range(N)], dtype=np.int64)
+    gv = np.array([0] + [2**40] * N, dtype=np.int64)
+    got = arith._conv_prefix_values(fv, gv, N)
+    want = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for j in range(1, N // d + 1):
+            want[d * j] += int(fv[d]) * int(gv[j])
+    assert got.dtype == object
+    assert got.tolist() == want
 
 
 def test_int64_escalation_paths():

@@ -3,6 +3,7 @@ import io
 import numpy as np
 
 from hyplab import arith, specs
+from hyplab import cache as cache_module
 from hyplab.cache import SegmentCache
 
 
@@ -52,3 +53,19 @@ def test_sieve_range_warm_equals_cold(tmp_path):
     assert np.array_equal(cold, first)
     assert np.array_equal(first, warm)
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_other_version_not_loaded(tmp_path, monkeypatch):
+    # segments of an earlier format version may hold values of another route
+    warn = io.StringIO()
+    cache = SegmentCache(str(tmp_path), warn_stream=warn)
+    current = cache_module._VERSION
+    monkeypatch.setattr(cache_module, "_VERSION", current - 1)
+    cache.store(specs.tau_m(2), "m", 1, 8, np.ones(8, dtype=np.int64))
+    old = next(tmp_path.iterdir())
+    monkeypatch.setattr(cache_module, "_VERSION", current)
+    assert cache.load(specs.tau_m(2), "m", 1, 8) is None
+    # the same bytes under the current file name fail the header check
+    old.rename(cache._path(specs.tau_m(2), "m", 1, 8))
+    assert cache.load(specs.tau_m(2), "m", 1, 8) is None
+    assert "invalid" in warn.getvalue()

@@ -210,3 +210,19 @@ def test_selftest_passes():
     r = run_cli("selftest")
     assert r.returncode == 0
     assert "FAIL" not in r.stdout
+
+
+def test_shortsum_far_window_over_cap_refused_at_once():
+    # the far-window sweep would need prefix arrays of isqrt(x) = 2^31
+    # entries; it is refused before any allocation or prime sieve
+    r = subprocess.run(
+        [
+            sys.executable, "-m", "hyplab.cli", "shortsum", "--function", "lambda_k",
+            "--k", "1", "--x", "4611686018427387904", "--y", "10",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert r.returncode == 4
+    assert "segment cap" in r.stderr

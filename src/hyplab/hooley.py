@@ -8,11 +8,34 @@ The tuple count is piecewise constant in every u_i, changing only where a
 window edge crosses log d for some divisor d, and shifting any window left
 until its edge sits just below the smallest divisor it contains never drops
 the count.  The exact maximum is therefore attained on candidate windows
-anchored just below a divisor, which the solver enumerates coordinate by
-coordinate over a shrinking multiset of cofactors.  Window-edge comparisons
-carry a relative 1e-12 nudge so that strict and weak inequalities stay
-unambiguous in floating point; integer divisor ratios cannot approach e
-closely enough at desk scale to be misread under that nudge.
+anchored just below a divisor.  Window-edge comparisons carry a relative
+1e-12 nudge so that strict and weak inequalities stay unambiguous in floating
+point; integer divisor ratios cannot approach e closely enough at desk scale
+to be misread under that nudge.
+
+With a = the sorted divisors of n and J[i] the end of the window anchored at
+a[i] (a[J[i]] is the first divisor >= a[i] e^{1-1e-12}):
+
+- Delta_2 is the longest run J[i] - i, found by a two-pointer sweep.
+- Delta_3 is the largest box sum of the table M[k, j] = [a[j] | n / a[k]]
+  over rows [i, J[i]) times columns [j, J[j]), read off 2-D prefix sums.
+- Delta_4 enumerates coordinate by coordinate over a shrinking multiset of
+  cofactors (``_best_windows``).
+
+The witness is the first anchor row attaining the maximum and, within it,
+the first anchor column that divides some cofactor of the row window, so all
+three routes give the same witness as the coordinate enumeration.
+
+Work cap.  Every call charges the divisor tuples of the coordinate
+enumeration, one fresh cap per n, also in the range functions.  For r = 2
+and 3 the charge is computed exactly before any table is built, and
+``tau(n)^2 > cap`` refuses r = 3 before the tau x tau table is allocated.
+For r = 4, :func:`delta_r` first screens ``tau(n)^3 > cap`` (a screen, not a
+bound on the work), then charges the enumeration as it runs.
+
+Range functions (:func:`iter_delta_values`, :func:`delta_short_sum`,
+:func:`delta_weighted_prefix`) sieve divisor lists blockwise with only
+d <= sqrt(hi), so a window (x, x+y] costs about y tau + sqrt(x) work.
 """
 
 from __future__ import annotations
@@ -20,6 +43,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .arith import evaluate_point, factorize
 from .errors import PreconditionError, WorkCapError
@@ -134,6 +160,7 @@ class _Budget:
 def _best_windows(
     mult: dict[int, int], coords: int, divmap, budget: _Budget
 ) -> tuple[int, tuple[float, ...]]:
+    """Coordinate enumeration of the best windows; serves r = 4 (and tests)."""
     if coords == 1:
         budget.spend(sum(len(divmap[m]) for m in mult))
         count, u = _last_coordinate_best(mult, divmap)
@@ -163,21 +190,103 @@ def _best_windows(
     return best, best_ws
 
 
+def _screen(tau: int, r: int, cap: int) -> None:
+    if tau ** (r - 1) > cap:
+        raise WorkCapError(
+            f"tau(n)^(r-1) = {tau ** (r - 1)} exceeds the work cap {cap}"
+        )
+
+
+def _window_ends(ds: list[int]) -> list[int]:
+    """J[i] = bisect_left(ds, ds[i] * _E_TOP): the window at ds[i] holds ds[i:J[i]]."""
+    ends = []
+    j = 0
+    size = len(ds)
+    for v in ds:
+        top = v * _E_TOP
+        while j < size and ds[j] < top:
+            j += 1
+        ends.append(j)
+    return ends
+
+
+def _cofactor_taus(ds: list[int]) -> list[int]:
+    """tau(n / d) for each d in ds, the sorted divisors of n = ds[-1]."""
+    m = ds[-1]
+    fac = []
+    for p in ds[1:]:
+        if m == 1:
+            break
+        if m % p == 0:  # every smaller prime is already divided out: p is prime
+            while m % p == 0:
+                m //= p
+            fac.append(p)
+    taus = []
+    for c in reversed(ds):  # n / ds[k] = ds[-1 - k]
+        t = 1
+        for p in fac:
+            e = 1
+            while c % p == 0:
+                c //= p
+                e += 1
+            t *= e
+        taus.append(t)
+    return taus
+
+
+def _charge3(ds: list[int], ends: list[int]) -> int:
+    """Exact tuple count ``_best_windows`` charges for Delta_3 of ds[-1]."""
+    cum = list(accumulate(_cofactor_taus(ds), initial=0))
+    return sum(j - i + cum[j] - cum[i] for i, j in enumerate(ends))
+
+
+def _delta(ds: list[int], r: int, cap: int) -> tuple[int, tuple[float, ...]]:
+    """Delta_r(n) and its witness from the sorted divisors ds of n; cap per n."""
+    if r == 4:
+        return _best_windows({ds[-1]: 1}, 3, _DivisorMap(ds), _Budget(cap))
+    size = len(ds)
+    _screen(size, r, cap)
+    ends = _window_ends(ds)
+    if r == 2:
+        best, at = 0, 0
+        for i, j in enumerate(ends):
+            if j - i > best:
+                best, at = j - i, i
+        return best, (math.log(ds[at]) - _EDGE_NUDGE,)
+    if _charge3(ds, ends) > cap:
+        raise WorkCapError("divisor tuple enumeration exceeded the work cap")
+    a = np.array(ds, dtype=np.int64)
+    rows = np.array(ends)
+    # prefix[k, j] counts the pairs (k' < k, j' < j) with a[j'] | n / a[k'].
+    prefix = np.zeros((size + 1, size + 1), dtype=np.int64)
+    prefix[1:, 1:] = ((ds[-1] // a)[:, None] % a == 0).cumsum(0).cumsum(1)
+    # cols[i, j]: pairs with row in [i, J[i]) and column < j.
+    cols = prefix[rows] - prefix[:size]
+    box = cols[:, rows] - cols[:, :size]
+    row_best = box.max(1)
+    i = int(row_best.argmax())
+    best = int(row_best[i])
+    # first best column of row i whose own column count is nonzero
+    j = int(((box[i] == best) & (cols[i, 1:] > cols[i, :-1])).argmax())
+    return best, (math.log(ds[i]) - _EDGE_NUDGE, math.log(ds[j]) - _EDGE_NUDGE)
+
+
 def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
-    """Exact Delta_r(n) with a maximizing witness, r in {2, 3, 4}."""
+    """Exact Delta_r(n) with a maximizing witness, r in {2, 3, 4}.
+
+    Refuses with :class:`WorkCapError` when the divisor tuples charged exceed
+    ``work_cap``: exactly, before any work, for r = 2 and 3; for r = 4 after
+    the ``tau(n)^3 > work_cap`` screen, as the enumeration runs.
+    """
     cap = WORK_CAP if work_cap is None else work_cap
     if r not in (2, 3, 4):
         raise PreconditionError(f"delta_r supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"delta_r requires 1 <= n <= 2^63-1, got {n}")
-    divmap = _DivisorMap(divisors(n).divisors)
-    tau = len(divmap[n])
-    if tau ** (r - 1) > cap:
-        raise WorkCapError(
-            f"tau(n)^(r-1) = {tau ** (r - 1)} exceeds the work cap {cap}"
-        )
-    budget = _Budget(cap)
-    value, witness = _best_windows({n: 1}, r - 1, divmap, budget)
+    ds = divisors(n).divisors
+    if r == 4:  # _delta screens r = 2 and 3 itself
+        _screen(len(ds), r, cap)
+    value, witness = _delta(ds, r, cap)
     return DeltaValue(n, r, value, witness)
 
 
@@ -312,69 +421,69 @@ _BLOCK = 1 << 15
 
 
 def _iter_divisor_lists(lo: int, hi: int):
-    """Yield (n, sorted divisors of n) for n in [lo, hi], in blocks."""
+    """Yield (n, sorted divisors of n) for n in [lo, hi], in blocks of _BLOCK.
+
+    Only d <= sqrt(n) is sieved; each larger divisor is the cofactor n // d.
+    """
     start = lo
     while start <= hi:
         stop = min(start + _BLOCK - 1, hi)
-        lists: list[list[int]] = [[] for _ in range(stop - start + 1)]
-        for d in range(1, stop + 1):
-            first = ((start + d - 1) // d) * d
-            for m in range(first, stop + 1, d):
-                lists[m - start].append(d)
-        for i, ds in enumerate(lists):
-            yield start + i, ds
+        small: list[list[int]] = [[] for _ in range(stop - start + 1)]
+        for d in range(1, math.isqrt(stop) + 1):
+            first = max(-(-start // d) * d, d * d)
+            for i in range(first - start, stop - start + 1, d):
+                small[i].append(d)
+        for n, ds in enumerate(small, start):
+            large = [n // d for d in reversed(ds)]
+            if ds[-1] * ds[-1] == n:
+                del large[0]
+            yield n, ds + large
         start = stop + 1
 
 
-def _delta_from_divlist(ds: list[int], r: int, budget: _Budget) -> int:
-    if r == 2:
-        budget.spend(len(ds))
-        best = 0
-        for i, v in enumerate(ds):
-            j = bisect_left(ds, v * _E_TOP)
-            best = max(best, j - i)
-        return best
-    value, _ = _best_windows({ds[-1]: 1}, r - 1, _DivisorMap(ds), budget)
-    return value
+def _range_deltas(lo: int, hi: int, r: int, work_cap: int | None):
+    cap = WORK_CAP if work_cap is None else work_cap
+    for n, ds in _iter_divisor_lists(lo, hi):
+        yield n, _delta(ds, r, cap)[0]
 
 
 def iter_delta_values(lo: int, hi: int, r: int, *, work_cap: int | None = None):
     """Yield (n, Delta_r(n)) over [lo, hi] from blockwise divisor lists.
 
-    Equivalent to calling :func:`delta_r` pointwise but amortizes the divisor
-    enumeration; the work cap applies per n.
+    Gives the values of :func:`delta_r` (r in {2, 3, 4}) in about
+    (hi - lo) tau + sqrt(hi) work.  The work cap applies per n, without the
+    ``tau(n)^3`` screen that :func:`delta_r` puts before r = 4.
     """
     if r not in (2, 3, 4):
         raise PreconditionError(f"delta iteration supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= lo <= hi):
         raise PreconditionError(f"delta iteration requires 1 <= lo <= hi, got [{lo}, {hi}]")
-    cap = WORK_CAP if work_cap is None else work_cap
-    for n, ds in _iter_divisor_lists(lo, hi):
-        yield n, _delta_from_divlist(ds, r, _Budget(cap))
+    yield from _range_deltas(lo, hi, r, work_cap)
 
 
 def delta_short_sum(r: int, x: int, y: int, *, work_cap: int | None = None) -> int:
-    """Exact sum of Delta_r(n) over the window (x, x+y]; x = 0 sums a prefix."""
+    """Exact sum of Delta_r(n) over the window (x, x+y]; x = 0 sums a prefix.
+
+    Costs about y tau + sqrt(x) work; the work cap applies per n, as in
+    :func:`iter_delta_values`.
+    """
     if r not in (2, 3, 4):
         raise PreconditionError(f"delta_short_sum supports r in {{2, 3, 4}}, got {r}")
     if x < 0 or y < 0:
         raise PreconditionError("delta_short_sum requires x >= 0 and y >= 0")
     if y == 0:
         return 0
-    budget = _Budget(WORK_CAP if work_cap is None else work_cap)
-    total = 0
-    for _, ds in _iter_divisor_lists(x + 1, x + y):
-        total += _delta_from_divlist(ds, r, budget)
-    return total
+    return sum(v for _, v in _range_deltas(x + 1, x + y, r, work_cap))
 
 
 def delta_weighted_prefix(r: int, x: int, *, work_cap: int | None = None) -> float:
-    """Exact sum of Delta_r(n)/n over n <= x."""
+    """Exact sum of Delta_r(n)/n over n <= x.
+
+    Costs about x tau work in blocks of bounded memory; the work cap applies
+    per n, as in :func:`iter_delta_values`.
+    """
     if r not in (2, 3, 4):
         raise PreconditionError(f"delta prefix supports r in {{2, 3, 4}}, got {r}")
     if x < 1:
         raise PreconditionError(f"delta prefix requires x >= 1, got {x}")
-    budget = _Budget(WORK_CAP if work_cap is None else work_cap)
-    return math.fsum(
-        _delta_from_divlist(ds, r, budget) / n for n, ds in _iter_divisor_lists(1, x)
-    )
+    return math.fsum(v / n for n, v in _range_deltas(1, x, r, work_cap))

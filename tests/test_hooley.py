@@ -130,3 +130,29 @@ def test_weighted_prefix_ratio_bounded():
         env = math.log(x) ** (1.0 + hooley_mean_exponent(x, 2))
         ratios.append(v / env)
     assert all(0 < q < 1e-30 for q in ratios)
+
+
+@pytest.mark.parametrize("r,cap", [(2, 32), (3, 1592)])
+def test_window_sums_charge_the_cap_per_n(r, cap):
+    # every n <= 1100 fits under cap (the largest single charge), the window
+    # (1000, 1100] as a whole does not
+    per_n = dict(hooley.iter_delta_values(1, 1100, r, work_cap=cap))
+    assert per_n == dict(hooley.iter_delta_values(1, 1100, r))
+    window = sum(per_n[n] for n in range(1001, 1101))
+    assert hooley.delta_short_sum(r, 1000, 100, work_cap=cap) == window
+    assert hooley.delta_weighted_prefix(r, 1100, work_cap=cap) == math.fsum(
+        v / n for n, v in per_n.items()
+    )
+    with pytest.raises(WorkCapError):
+        hooley.delta_short_sum(r, 1000, 100, work_cap=cap - 1)
+
+
+def test_delta3_refuses_at_the_exact_charge():
+    # tau = 1344 passes the tau^2 screen; the enumeration charges 11080801
+    dv = hooley.delta_r(735134400, 3, work_cap=11_080_801)
+    assert dv.value == 2518
+    assert hooley.window_tuple_count(735134400, dv.witness) == dv.value
+    with pytest.raises(WorkCapError):
+        hooley.delta_r(735134400, 3, work_cap=11_080_800)
+    with pytest.raises(WorkCapError):
+        hooley.delta_r(735134400, 3)

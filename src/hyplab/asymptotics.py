@@ -34,9 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import prefix_sums, prefix_values, short_sum_bruteforce
+from .arith import prefix_values, short_sum_bruteforce
 from .errors import PreconditionError
-from .specs import FuncSpec
+from .hyperbola import _leg
+from .specs import FuncSpec, one
 
 __all__ = [
     "HypothesisData",
@@ -234,17 +235,8 @@ def tail_window_sum_check(
         raise PreconditionError(
             f"tail window requires max(y, x/y) <= T <= x, got T = {T}"
         )
-    kmax = int(x // Tq)
-    top = x + y
-    k_arr = np.arange(1, kmax + 1, dtype=np.int64)
-    fs = prefix_sums(f, top)
-    wins = fs[top // k_arr] - fs[x // k_arr]
-    if wins.dtype == object:
-        value = float(sum(int(v) for v in wins))
-    elif f.integer_valued:
-        value = float(int(np.sum(wins, dtype=np.int64)))
-    else:
-        value = float(np.sum(wins))
+    K = int(x // Tq)
+    value = float(_leg(one(), f, x, x + y, K, f.integer_valued))
     prediction = (
         y * h.leading / (h.s + 1) * (math.log(x) ** (h.s + 1) - math.log(T) ** (h.s + 1))
     )

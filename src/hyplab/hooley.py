@@ -40,6 +40,7 @@ d <= sqrt(hi), so a window (x, x+y] costs about y tau + sqrt(x) work.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -109,6 +110,12 @@ def divisors(n: int) -> DivisorList:
         divs.extend(grown)
     divs.sort()
     return DivisorList(n, divs)
+
+
+@functools.lru_cache(maxsize=64)
+def _sorted_divisors(n: int) -> tuple[int, ...]:
+    """divisors(n) as a tuple, kept for the dyadic scans over many N per n."""
+    return tuple(divisors(n).divisors)
 
 
 class _DivisorMap(dict):
@@ -387,7 +394,7 @@ def dyadic_divisor_tau_sum(n: int, r: int, N: int) -> int:
     """Sum of tau_r(d) over divisors d of n with N < d <= 2N (tau_1 = 1)."""
     if r < 1 or n < 1 or N < 1:
         raise PreconditionError("dyadic divisor sum requires n, r, N >= 1")
-    divs = divisors(n).divisors
+    divs = _sorted_divisors(n)
     i = bisect_right(divs, N)
     j = bisect_right(divs, 2 * N)
     if r == 1:

@@ -17,6 +17,13 @@ equality on integer-valued inputs.
 T is a real parameter.  All floor comparisons against T go through exact
 rational arithmetic (a float is a dyadic rational), so boundary cases are
 classified exactly and the identity survives adversarial T.
+
+Both legs are one sum with f and g swapped: ``_leg(a, b, ...)`` adds a(v)
+times the b-sum on (x/v, (x+y)/v] over the v <= V with a(v) != 0.  The inner
+b-sums are read from a prefix table when x+y <= ``arith.PREFIX_WINDOW_MAX``
+and come from ``short_sum_bruteforce``, one window per v, above it.  The long
+identity and ``asymptotics.tail_window_sum_check`` sum through the same leg.
+Integer legs are exact Python ints on every route.
 """
 
 from __future__ import annotations
@@ -27,30 +34,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (
-    PREFIX_WINDOW_MAX,
-    evaluate_point,
-    prefix_sums,
-    prefix_values,
-    short_sum_bruteforce,
-)
+from . import arith
 from .errors import PreconditionError, SegmentCapError
 from .specs import FuncSpec
 
 __all__ = [
     "HyperbolaDecomposition",
-    "WINDOW_DIRECT",
     "psi",
     "nearest_int_dist",
     "short_hyperbola",
     "long_hyperbola",
     "sawtooth_block_sum",
 ]
-
-#: Inner window sums at most this wide are sieved directly instead of going
-#: through a prefix table.
-WINDOW_DIRECT = 10_000
-
 
 def psi(t: float) -> float:
     """First Bernoulli (sawtooth) function t - floor(t) - 1/2, in [-1/2, 1/2)."""
@@ -68,8 +63,9 @@ class HyperbolaDecomposition:
     """The three exact components of the short-interval hyperbola identity.
 
     ``total = term_d + term_k + boundary_term`` holds exactly, and equals the
-    windowed sum of the convolution.  ``d_count`` and ``k_count`` meter the
-    number of outer evaluations on each leg (T + x/T work, not x).
+    windowed sum of the convolution.  ``d_count = floor(T)`` and
+    ``k_count = floor(x/T)`` are the index ranges of the two legs (T + x/T
+    work, not x).
     """
 
     term_d: object
@@ -83,17 +79,6 @@ class HyperbolaDecomposition:
     k_count: int
 
 
-def _range_sum(spec: FuncSpec, a: int, b: int):
-    """Sum of spec over the integer window (a, b]."""
-    if b <= a:
-        return 0 if spec.integer_valued else 0.0
-    if b - a <= WINDOW_DIRECT or b > PREFIX_WINDOW_MAX:
-        return short_sum_bruteforce(spec, a, b - a)
-    sums = prefix_sums(spec, b)
-    out = sums[b] - sums[a]
-    return int(out) if spec.integer_valued else float(out)
-
-
 def _as_fraction(T) -> Fraction:
     try:
         q = Fraction(T)
@@ -102,32 +87,25 @@ def _as_fraction(T) -> Fraction:
     return q
 
 
-def _blocked_d_leg(f: FuncSpec, g: FuncSpec, x: int, top: int, D: int, isint: bool):
-    """sum over d <= D of f(d) (g-sum on (x/d, top/d]), grouped by quotient.
+def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
+    """Sums of b over the windows (x // v, top // v], one per entry of v."""
+    lo, hi = x // v, top // v
+    if b.kind == "one":
+        return hi - lo
+    if top <= arith.PREFIX_WINDOW_MAX:
+        sums = arith.prefix_sums(b, top)
+        return sums[hi] - sums[lo]
+    return np.array(
+        [arith.short_sum_bruteforce(b, int(l), int(h - l)) for l, h in zip(lo, hi)],
+        dtype=object if b.integer_valued else np.float64,
+    )
 
-    Both floors are constant on runs of d, so one prefix-sum lookup per run
-    covers the whole block; the run count is O(sqrt(top)) instead of D.
-    Returns (value, blocks).
-    """
-    fs = prefix_sums(f, D)
-    gs = None if g.kind == "one" else prefix_sums(g, top)
-    total = 0 if isint else 0.0
-    blocks = 0
-    d = 1
-    while d <= D:
-        q1 = top // d
-        q2 = x // d
-        d2 = min(top // q1, x // q2, D)
-        blockf = fs[d2] - fs[d - 1]
-        if isint:
-            blockf = int(blockf)
-        gwin = (q1 - q2) if gs is None else gs[q1] - gs[q2]
-        if isint:
-            gwin = int(gwin)
-        total += blockf * gwin
-        blocks += 1
-        d = d2 + 1
-    return total, blocks
+
+def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int, isint: bool):
+    """sum over v <= V of a(v) (b-sum on (x/v, top/v]), skipping a(v) = 0."""
+    av = arith.prefix_values(a, V)
+    v = np.flatnonzero(av)
+    return _mixed_sum(av[v], _window_sums(b, x, top, v), isint)
 
 
 def short_hyperbola(
@@ -145,52 +123,23 @@ def short_hyperbola(
         raise PreconditionError(f"hypothesis T <= x violated: T = {T}, x = {x}")
 
     D = math.floor(Tq)
-    kmax = x // Tq
+    K = x // Tq
     isint = f.integer_valued and g.integer_valued
     top = x + y
-    if D > PREFIX_WINDOW_MAX:
+    if D > arith.PREFIX_WINDOW_MAX:
         raise SegmentCapError(
-            f"d-leg table of {D} entries exceeds the prefix cap {PREFIX_WINDOW_MAX};"
+            f"d-leg table of {D} entries exceeds the prefix cap {arith.PREFIX_WINDOW_MAX};"
             " use a smaller T"
         )
 
-    # d-leg: f(d) times the count or g-sum of the window (x/d, (x+y)/d]
-    if g.kind == "one" or top <= PREFIX_WINDOW_MAX:
-        term_d, d_count = _blocked_d_leg(f, g, x, top, D, isint)
-    else:
-        fv = prefix_values(f, D)
-        term_d = 0 if isint else 0.0
-        for d in range(1, D + 1):
-            fd = fv[d]
-            if fd:
-                term_d += fd * _range_sum(g, x // d, top // d)
-        d_count = D
-
-    # k-leg: g(k) times the f-sum of the window (x/k, (x+y)/k]
-    km = int(kmax)
-    k_arr = np.arange(1, km + 1, dtype=np.int64)
-    gv = prefix_values(g, km)[1 : km + 1]
-    if f.kind == "one":
-        fwin = (top // k_arr) - (x // k_arr)
-        term_k = _mixed_sum(gv, fwin, isint)
-    elif top <= PREFIX_WINDOW_MAX:
-        fs = prefix_sums(f, top)
-        fwin = fs[top // k_arr] - fs[x // k_arr]
-        term_k = _mixed_sum(gv, fwin, isint)
-    else:
-        term_k = 0 if isint else 0.0
-        for k in range(1, km + 1):
-            gk = gv[k - 1]
-            if gk:
-                term_k += gk * _range_sum(f, x // k, top // k)
+    term_d = _leg(f, g, x, top, D, isint)
+    term_k = _leg(g, f, x, top, K, isint)
 
     # boundary: the single integer the interval (x/T, (x+y)/T] can contain
     k0 = top // Tq
-    cnt = k0 - kmax
-    if cnt:
-        inner = _range_sum(f, D, top // k0)
-        gk0 = evaluate_point(g, int(k0))
-        boundary = gk0 * cnt * inner
+    if k0 > K:
+        inner = arith.short_sum_bruteforce(f, D, top // k0 - D)
+        boundary = arith.evaluate_point(g, k0) * inner
     else:
         boundary = 0 if isint else 0.0
 
@@ -198,9 +147,7 @@ def short_hyperbola(
     if not isint:
         total = float(total)
         term_d, term_k, boundary = float(term_d), float(term_k), float(boundary)
-    return HyperbolaDecomposition(
-        term_d, term_k, boundary, total, float(Tq), x, y, d_count, km
-    )
+    return HyperbolaDecomposition(term_d, term_k, boundary, total, float(Tq), x, y, D, K)
 
 
 def _mixed_sum(a: np.ndarray, b: np.ndarray, isint: bool):
@@ -223,24 +170,17 @@ def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
     Tq = _as_fraction(T)
     if not (1 <= Tq <= x):
         raise PreconditionError(f"long hyperbola requires 1 <= T <= x, got T = {T}")
-    if x > PREFIX_WINDOW_MAX:
+    if x > arith.PREFIX_WINDOW_MAX:
         raise SegmentCapError(
-            f"long hyperbola prefix tables capped at {PREFIX_WINDOW_MAX}, got x = {x}"
+            f"long hyperbola prefix tables capped at {arith.PREFIX_WINDOW_MAX}, got x = {x}"
         )
     D = math.floor(Tq)
-    kmax = x // Tq
+    K = x // Tq
     isint = f.integer_valued and g.integer_valued
-    fs = prefix_sums(f, x)
-    gs = prefix_sums(g, x)
-    d_arr = np.arange(1, D + 1, dtype=np.int64)
-    k_arr = np.arange(1, int(kmax) + 1, dtype=np.int64)
-    fv = prefix_values(f, D)[1 : D + 1]
-    gv = prefix_values(g, int(kmax))[1 : int(kmax) + 1]
-    term1 = _mixed_sum(fv, gs[x // d_arr], isint)
-    term2 = _mixed_sum(gv, fs[x // k_arr], isint)
-    corr = fs[D] * gs[int(kmax)]
-    total = term1 + term2 - corr
-    return int(total) if isint else float(total)
+    # both tables built at x first, so the legs' reads at D and K hit them
+    FD, GK = arith.prefix_sums(f, x)[D], arith.prefix_sums(g, x)[K]
+    corr = int(FD) * int(GK) if isint else float(FD) * float(GK)
+    return _leg(f, g, 0, x, D, isint) + _leg(g, f, 0, x, K, isint) - corr
 
 
 def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:
@@ -256,7 +196,7 @@ def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:
     if y == 0:
         return 0.0
     n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    fv = prefix_values(f, 2 * N)[N + 1 : 2 * N + 1]
+    fv = arith.prefix_values(f, 2 * N)[N + 1 : 2 * N + 1]
     frac_hi = ((x + y) % n_arr) / n_arr
     frac_lo = (x % n_arr) / n_arr
     return float(np.sum(fv.astype(np.float64) * (frac_hi - frac_lo)))

@@ -74,6 +74,14 @@ class FuncSpec:
     param: int = 0
     children: tuple["FuncSpec", ...] = ()
 
+    def __post_init__(self) -> None:
+        # the field-tuple hash the dataclass would generate, computed once:
+        # specs key lru_caches, and a tree's hash would otherwise recurse
+        object.__setattr__(self, "_hash", hash((self.kind, self.param, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def key(self) -> str:
         """Canonical string, unique per function, stable across runs."""

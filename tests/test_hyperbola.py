@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_divisors, psi_oracle
-from hyplab import arith, hyperbola, specs
-from hyplab.errors import PreconditionError
+from hyplab import arith, hyperbola, registry, specs
+from hyplab.errors import PreconditionError, SegmentCapError
 
 
 def brute_conv_window(f, g, x, y):
@@ -93,6 +93,41 @@ def test_operation_count_meter():
     dec = hyperbola.short_hyperbola(specs.tau_m(2), specs.one(), x, y, T)
     assert dec.d_count + dec.k_count <= math.floor(T) + x / T + 2
     assert dec.k_count == int(x // Fraction(T))
+
+
+_FAR_CAP = 5_000
+
+
+def test_far_route_matches_bruteforce(monkeypatch):
+    """Above the prefix cap every inner window is a short_sum_bruteforce call."""
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", _FAR_CAP)
+    arith.clear_table_cache()
+    rng = random.Random(2024)
+    boundary_seen = 0
+    for name, f, g in registry.hyperbola_pairs():
+        x = rng.randrange(6_000, 60_000)
+        y = 4 * math.isqrt(x) + rng.randrange(0, 20)
+        # T just above x/k0 puts k0 in (x/T, (x+y)/T]: a nonzero boundary window
+        k0 = x // y
+        for T in (rng.uniform(y, 3 * y), Fraction(x + 1, k0)):
+            dec = hyperbola.short_hyperbola(f, g, x, y, T)
+            brute = arith.short_sum_bruteforce(specs.convolve(f, g), x, y)
+            if f.integer_valued and g.integer_valued:
+                parts = (dec.term_d, dec.term_k, dec.boundary_term, dec.total)
+                assert all(type(v) is int for v in parts), (name, x, y, T)
+                assert dec.total == brute, (name, x, y, T)
+            else:
+                assert dec.total == pytest.approx(brute, rel=1e-12), (name, x, y, T)
+            boundary_seen += dec.boundary_term != 0
+        # no table reaches x: the cost is y + sqrt(x) work
+        assert max(e["N"] for e in arith._table_cache.values()) <= 2 * _FAR_CAP, name
+    assert boundary_seen >= 10
+    f, g = specs.mobius(), specs.tau_m(2)
+    assert hyperbola.long_hyperbola(f, g, _FAR_CAP, 70.0) == arith.short_sum_bruteforce(
+        specs.convolve(f, g), 0, _FAR_CAP
+    )
+    with pytest.raises(SegmentCapError):
+        hyperbola.long_hyperbola(f, g, _FAR_CAP + 1, 70.0)
 
 
 def test_real_valued_path_matches_brute():

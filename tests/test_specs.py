@@ -28,6 +28,10 @@ def test_canonical_keys_round_trip_composition():
     s = specs.convolve(specs.pointwise(specs.mu_k(2), specs.log_pow(1)), specs.one())
     assert s.key == "convolve(pointwise(mu_k(2),log_pow(1)),one)"
     assert specs.tau_m(3).key == "tau_m(3)"
+    # separately built equal trees share one hash: they are one cache identity
+    t = specs.convolve(specs.pointwise(specs.mu_k(2), specs.log_pow(1)), specs.one())
+    assert t is not s and t == s and hash(t) == hash(s)
+    assert s != specs.convolve(specs.pointwise(specs.mu_k(3), specs.log_pow(1)), specs.one())
 
 
 def test_value_domains():

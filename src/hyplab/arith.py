@@ -3,13 +3,16 @@
 Every route evaluates the normal form :func:`hyplab.specs.base_form`.  Values
 on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
 (exponent-only prime-power values) go through the vectorized multiplicative
-sieve, one sweep per prime p <= sqrt(hi); ``log_pow`` is one numpy expression;
-a real convolution runs one sweep, a strided slice per d <= sqrt(hi) and the
-larger d by cofactor from high to low.
+sieve over the primes p <= sqrt(hi): a strided slice per prime with many
+multiples in the window, the other primes as batches of (prime, multiple)
+pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
+one numpy expression; a real convolution runs one sweep, a strided slice per
+d <= sqrt(hi) and the larger d by cofactor from high to low.
 
 Two range routes share that recursion.  A prefix table [1, N] sweeps whole
-child arrays and is cached; windows ending at or below ``PREFIX_WINDOW_MAX``
-are sliced from it.  A far window takes the child windows it needs from the
+child arrays and is cached; a table that has to grow sweeps only its new
+entries, and windows ending at or below ``PREFIX_WINDOW_MAX`` are sliced from
+it.  A far window takes the child windows it needs from the
 recursion, at a cost that grows like y log x + x^(3/4), not like x.  The point
 route evaluates one argument from its factorization.  Every route adds a
 convolution's terms in increasing d over its first factor and computes log
@@ -67,7 +70,8 @@ PREFIX_WINDOW_MAX = 4_000_000
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
 _INT64_SAFE = 1 << 62
 
-#: Divisors per block of the large-d prefix convolution; bounds its temporaries.
+#: Entries per block of the large-d convolution sweep and (prime, multiple)
+#: pairs per batch of the window sieve; bounds the temporaries of both.
 _CONV_BLOCK = 1 << 14
 
 
@@ -81,13 +85,19 @@ _prime_array = np.empty(0, dtype=np.int64)
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (shared, grow-on-demand cache)."""
+    """All primes <= n as an int64 array (shared, grow-on-demand cache).
+
+    A sieve past ``SEGMENT_CAP`` is refused before anything is allocated, and
+    the cache never grows past it.
+    """
     global _prime_limit, _prime_array
     if n <= 1:
         return np.empty(0, dtype=np.int64)
+    if n > SEGMENT_CAP:
+        raise SegmentCapError(f"prime sieve up to {n} exceeds the segment cap {SEGMENT_CAP}")
     with _prime_lock:
         if n > _prime_limit:
-            limit = max(n, 2 * _prime_limit, 1 << 16)
+            limit = max(n, min(max(2 * _prime_limit, 1 << 16), SEGMENT_CAP))
             sieve = np.ones(limit + 1, dtype=bool)
             sieve[:2] = False
             for p in range(2, math.isqrt(limit) + 1):
@@ -100,7 +110,11 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, sorted by prime."""
+    """Prime factorization of n >= 1 by trial division, sorted by prime.
+
+    Past n = SEGMENT_CAP^2 the primes to try would exceed the cap of
+    :func:`primes_upto`, which raises ``SegmentCapError``.
+    """
     if n < 1:
         raise PreconditionError(f"factorize requires n >= 1, got {n}")
     fac: list[tuple[int, int]] = []
@@ -171,46 +185,107 @@ def set_segment_cache(cache) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _local_table(spec: FuncSpec, bits: int) -> np.ndarray:
+    """Prime-power values of ``spec`` for exponents 0 .. bits, in the sieve's dtype.
+
+    int64 when no value of the spec on [1, 2^bits) reaches the int64 guard, so
+    neither a local nor a product of them can wrap; exact Python ints otherwise.
+    """
+    # exponents above bits cannot occur below 2^bits, so the table stays
+    # small even when deep values grow (Dirichlet inverses do)
+    locals_ = prime_power_locals(spec, bits)
+    small = primes_upto(64).tolist()
+
+    def largest(i: int, top: int, emax: int) -> int:
+        # max |f(n)| over n <= top whose exponents on small[i], small[i+1], ..
+        # do not increase and stay <= emax; moving a prime power to a smaller
+        # prime keeps n <= top and f(n), so this is the max over all n <= top
+        best, q = 1, 1
+        for e in range(1, emax + 1):
+            q *= small[i]
+            if q > top:
+                break
+            if locals_[e]:
+                best = max(best, abs(locals_[e]) * largest(i + 1, top // q, e))
+        return best
+
+    if max(map(abs, locals_)) < _INT64_SAFE and largest(0, (1 << bits) - 1, bits) < _INT64_SAFE:
+        return np.asarray(locals_, dtype=np.int64)
+    return np.asarray(locals_, dtype=object)
+
+
 def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    # exponents above log2(hi) cannot occur inside the window, so the local
-    # table stays small even when deep values grow (Dirichlet inverses do)
-    locals_ = prime_power_locals(spec, int(hi).bit_length())
-    if max(abs(v) for v in locals_) < _INT64_SAFE:
-        L = np.asarray(locals_, dtype=np.int64)
-    else:
-        L = np.asarray(locals_, dtype=object)
+    """Values of an integer spec on [lo, hi], from the exponents of p <= sqrt(hi).
+
+    ``acc[i]`` collects the prime powers of lo + i found so far.  A prime with
+    many multiples in the window takes strided slices of multiples of p, p^2,
+    ..; the others are batched into (prime, multiple) pairs, at most _CONV_BLOCK
+    at a time; a prime p >= size has at most one multiple and stays scalar.
+    What remains of n once every p <= sqrt(hi) is out is one larger prime,
+    present exactly where acc != n.
+    """
+    ps = primes_upto(math.isqrt(hi))  # refuses a sieve past the cap first
+    L = _local_table(spec, int(hi).bit_length())
     size = hi - lo + 1
     out = np.ones(size, dtype=L.dtype)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
+    acc = np.ones(size, dtype=np.int64)
+    # a prime with over 256 multiples pays its numpy calls back with slices
+    a, b = np.searchsorted(ps, [size // 256, size])
+    for p in ps[:a].tolist():
+        # e counts multiples of p, p^2, .. among the multiples of p: no division
+        first = (lo - 1) // p * p + p - lo
+        e = np.ones(len(range(first, size, p)), dtype=np.int8)
+        acc[first::p] *= p
+        q = p * p
+        while q <= hi:
+            m = (lo - 1) // q * q + q - lo
+            if m >= size:
+                break
+            e[(m - first) // p :: q // p] += 1
+            acc[m::q] *= p
+            q *= p
+        out[first::p] *= L[e]
+    mid = ps[a:b]
+    if mid.size:
+        count = hi // mid - (lo - 1) // mid
+        ends = np.cumsum(count)
+        i = 0
+        while i < mid.size:
+            base = ends[i] - count[i]
+            j = max(int(np.searchsorted(ends, base + _CONV_BLOCK, side="right")), i + 1)
+            c = count[i:j]
+            pv = np.repeat(mid[i:j], c)
+            k = np.arange(pv.size) - np.repeat(ends[i:j] - c - base, c)
+            idx = np.repeat((lo - 1) // mid[i:j] * mid[i:j] + mid[i:j] - lo, c) + k * pv
+            r = (idx + lo) // pv
+            e = np.ones(pv.size, dtype=np.int8)
+            pe = pv.copy()
+            cur = np.nonzero(r % pv == 0)[0]
+            while cur.size:
+                r[cur] //= pv[cur]
+                e[cur] += 1
+                pe[cur] *= pv[cur]
+                cur = cur[r[cur] % pv[cur] == 0]
+            # an n with several large factors repeats in idx; .at applies each
+            np.multiply.at(out, idx, L[e])
+            np.multiply.at(acc, idx, pe)
+            i = j
+        del pv, k, idx, r, e, pe, cur  # free the last batch before the final pass
+    for p in ps[b:].tolist():
         start = ((lo + p - 1) // p) * p
         if start > hi:
             continue
-        if p >= size:
-            # at most one multiple inside the window; stay scalar
-            i = start - lo
-            r = int(rem[i])
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            rem[i] = r
-            out[i] *= L[e]
-            continue
-        sl = slice(start - lo, size, p)
-        r = rem[sl]  # strided view, divisions write through
-        e = np.ones(r.shape[0], dtype=np.int64)
-        r //= p
-        cur = np.nonzero(r % p == 0)[0]
-        while cur.size:
-            r[cur] //= p
-            e[cur] += 1
-            cur = cur[r[cur] % p == 0]
-        out[sl] *= L[e]
-    big = rem > 1
-    if big.any():
-        out[big] *= L[1]
+        # at most one multiple inside the window; stay scalar
+        r, e, q = start // p, 1, p
+        while r % p == 0:
+            r //= p
+            e += 1
+            q *= p
+        acc[start - lo] *= q
+        out[start - lo] *= L[e]
+    big = acc != np.arange(lo, hi + 1, dtype=np.int64)
+    np.multiply(out, L[1], out=out, where=big)
     return out
 
 
@@ -228,17 +303,19 @@ def clear_table_cache() -> None:
         _table_cache.clear()
 
 
-def _checked_int_cumsum(vals: np.ndarray) -> np.ndarray:
-    bound = int(np.abs(vals).max(initial=0)) * len(vals)
-    if bound < _INT64_SAFE:
-        return np.cumsum(vals, dtype=np.int64)
-    # escalate to exact big-int accumulation
-    out = np.empty(len(vals), dtype=object)
-    acc = 0
-    for i, v in enumerate(vals):
-        acc += int(v)
-        out[i] = acc
-    return out
+def _running_sum(a: np.ndarray, start: int = 0) -> np.ndarray:
+    """``a`` with a[start:] replaced, in place, by its running sum from a[start].
+
+    An int64 sum that could reach the guard bound is taken in exact Python
+    integers instead, on an object copy of ``a``.
+    """
+    tail = a[start:]
+    top = max(-int(tail.min(initial=0)), int(tail.max(initial=0))) if a.dtype.kind == "i" else 0
+    if top * len(tail) >= _INT64_SAFE:
+        a = a.astype(object)
+        tail = a[start:]
+    np.cumsum(tail, out=tail)
+    return a
 
 
 def _conv_sweep(out, lo, hi, f_at, g_at) -> None:
@@ -284,12 +361,13 @@ def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+def _window_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
     """Values of a base-form spec on [lo, hi].
 
-    A convolution on a prefix (lo = 1) evaluates each child once on [1, hi]
-    and sweeps slices of those arrays; on a far window it takes each child
-    window the sweep asks for from this recursion.
+    A convolution on a prefix table (lo = 1, or ``prefix`` when a table grows
+    by (lo - 1, hi]) evaluates each child once on [1, hi] and sweeps slices
+    of those arrays; on a far window it takes each child window the sweep
+    asks for from this recursion.
     """
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
@@ -298,11 +376,11 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
         return np.log(np.arange(lo, hi + 1, dtype=np.float64)) ** spec.param
     if kind == "pointwise":
         f, g = spec.children
-        return _real_values(f, lo, hi) * _real_values(g, lo, hi)
+        return _real_values(f, lo, hi, prefix) * _real_values(g, lo, hi, prefix)
     if kind != "convolve":
         raise InvalidSpecError(f"no window engine for spec kind {kind!r}")
     f_at, g_at = (functools.partial(_real_values, c) for c in spec.children)
-    if lo == 1:
+    if prefix or lo == 1:
         fv, gv = f_at(1, hi), g_at(1, hi)
         f_at, g_at = (lambda a, b: fv[a - 1 : b]), (lambda a, b: gv[a - 1 : b])
     # integer convolutions have prime-power locals, so this one is real
@@ -311,14 +389,14 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _real_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+def _real_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
     """A child of a real node: exact big-int values become floats, as at a point."""
-    v = _window_values(spec, lo, hi)
+    v = _window_values(spec, lo, hi, prefix)
     return v.astype(np.float64) if v.dtype == object else v
 
 
-def _range_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    return _window_values(base_form(spec), lo, hi)
+def _range_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
+    return _window_values(base_form(spec), lo, hi, prefix)
 
 
 def _table_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
@@ -334,16 +412,17 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
             _table_cache.pop(key)
             _table_cache[key] = entry
             return entry
-        if entry is not None:
+        if entry is None:
+            entry = {"N": 0, "values": np.zeros(1, np.int64), "sums": np.zeros(1, np.int64)}
+        else:
             # amortize growing access patterns; per-index values do not depend
             # on the build size, so overshooting is invisible to callers
             N = max(N, 2 * entry["N"])
-    w = _range_values(spec, 1, N)
-    values = np.concatenate((np.zeros(1, dtype=w.dtype), w))
-    if values.dtype.kind == "i":
-        sums = _checked_int_cumsum(values)
-    else:
-        sums = np.cumsum(values)
+    # for the same reason a growing table sweeps only (old N, N], and its
+    # running sum goes on from the old last entry in the same order
+    w = _range_values(spec, entry["N"] + 1, N, prefix=True)
+    values = np.concatenate((entry["values"], w))
+    sums = _running_sum(np.concatenate((entry["sums"], w)), entry["N"])
     entry = {"N": N, "values": values, "sums": sums}
     with _table_lock:
         prev = _table_cache.get(key)

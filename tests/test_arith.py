@@ -75,6 +75,54 @@ def test_segment_cap_enforced():
         arith.sieve_range(specs.one(), 1, 100, segment_cap=50)
 
 
+def test_prime_sieve_over_cap_refused(monkeypatch):
+    limit = arith._prime_limit
+    monkeypatch.setattr(arith, "SEGMENT_CAP", 1000)
+    with pytest.raises(SegmentCapError):
+        arith.primes_upto(1001)
+    with pytest.raises(SegmentCapError):
+        arith.factorize(1003 * 1009)
+    assert arith._prime_limit == limit
+    assert arith.primes_upto(1000)[-1] == 997
+
+
+def test_prime_sieve_growth_stops_at_cap(monkeypatch):
+    primes = arith.primes_upto(1 << 16)
+    monkeypatch.setattr(arith, "_prime_limit", 1 << 16)
+    monkeypatch.setattr(arith, "_prime_array", primes)
+    monkeypatch.setattr(arith, "SEGMENT_CAP", 100_000)
+    got = arith.primes_upto(70_000)
+    # doubling would sieve to 2^17; the cap stops it at 100000
+    assert arith._prime_limit == 100_000
+    assert got.tolist() == [p for p in range(2, 70_001) if brute_factor(p) == [(p, 1)]]
+
+
+@pytest.mark.parametrize(
+    "spec", [specs.convolve(specs.log_pow(1), specs.log_pow(1)), specs.tau_m(3)], ids=str
+)
+def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
+    arith.clear_table_cache()
+    arith.prefix_sums(spec, 241_000)
+    swept = []
+    range_values = arith._range_values
+
+    def record(s, lo, hi, prefix=False):
+        swept.append((lo, hi))
+        return range_values(s, lo, hi, prefix)
+
+    monkeypatch.setattr(arith, "_range_values", record)
+    arith.prefix_sums(spec, 249_000)
+    grown = arith._table_cache[spec.key]
+    assert swept == [(241_001, 482_000)] and grown["N"] == 482_000
+    arith.clear_table_cache()
+    arith.prefix_sums(spec, 482_000)
+    fresh = arith._table_cache[spec.key]
+    arith.clear_table_cache()
+    for name in ("values", "sums"):
+        assert grown[name].dtype == fresh[name].dtype
+        assert grown[name].tobytes() == fresh[name].tobytes()
+
+
 def test_far_window_pointwise_engine(monkeypatch):
     # real values do not depend on the route: windows above PREFIX_WINDOW_MAX
     # are swept on the window itself, lower ones are sliced from the cached
@@ -268,7 +316,7 @@ def test_conv_int64_guard():
 
 def test_int64_escalation_paths():
     vals = np.full(8, 1 << 61, dtype=np.int64)
-    sums = arith._checked_int_cumsum(vals)
+    sums = arith._running_sum(vals.copy())
     assert sums.dtype == object
     assert int(sums[-1]) == 8 * (1 << 61)
     assert arith._exact_int_sum(vals) == 8 * (1 << 61)

@@ -226,3 +226,19 @@ def test_shortsum_far_window_over_cap_refused_at_once():
     )
     assert r.returncode == 4
     assert "segment cap" in r.stderr
+
+
+def test_shortsum_multiplicative_over_cap_refused_at_once():
+    # engine 1 at x = 2^62 would sieve primes up to 2^31; that sieve is
+    # refused before it is allocated
+    r = subprocess.run(
+        [
+            sys.executable, "-m", "hyplab.cli", "shortsum", "--function", "tau_k",
+            "--k", "2", "--x", "4611686018427387904", "--y", "10",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert r.returncode == 4
+    assert "segment cap" in r.stderr

@@ -1,0 +1,122 @@
+"""Engine 1, the multiplicative window sieve, against the point route.
+
+Random integer specs on random windows go through ``sieve_range`` and must
+equal :func:`hyplab.arith.evaluate_point` at every n, bit for bit and in
+exact Python ints where int64 could wrap.  The windows are drawn to reach
+each branch of the sieve: primes with strided slices (p < size // 256),
+batched (prime, index) pairs (p < size), the scalar branch (p >= size), and
+prime squares inside the window.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from hyplab import arith, specs  # noqa: E402
+
+_LEAVES = st.sampled_from(
+    [
+        specs.one(),
+        specs.identity_at_1(),
+        specs.mobius(),
+        specs.mu_k(2),
+        specs.mu_k(3),
+        specs.tau_m(2),
+        specs.tau_m(3),
+        specs.tau_m(4),
+        specs.tau_kfree(3),
+        specs.two_pow_omega(),
+        specs.three_pow_omega(),
+        # locals past the int64 guard from 2^27 on: the object-dtype sieve
+        specs.tau_m(40),
+    ]
+)
+
+
+def _integer_specs(depth):
+    if depth == 0:
+        return _LEAVES
+    sub = _integer_specs(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.builds(specs.convolve, sub, sub),
+        st.builds(specs.pointwise, sub, sub),
+        st.builds(specs.dirichlet_inverse, sub),
+    )
+
+
+def _primes(a, b):
+    return [p for p in range(a, b) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+# batched primes of a 5000-wide window run from 19 (= 5000 // 256) to 5000
+_MID_PRIMES = _primes(17, 5000)
+
+
+def _log_uniform(draw, lo_bits, hi_bits):
+    b = draw(st.integers(lo_bits, hi_bits))
+    return draw(st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@st.composite
+def _windows(draw):
+    kind = draw(st.sampled_from(["far", "mid", "square"]))
+    if kind == "far":
+        # sqrt(hi) far above the size: most primes take the scalar branch
+        lo = _log_uniform(draw, 20, 40)
+        size = draw(st.integers(1, 48))
+    elif kind == "mid":
+        lo = _log_uniform(draw, 1, 26)
+        size = draw(st.integers(1, 5000))
+    else:
+        # a prime square p^2 (and maybe 2 p^2, 3 p^2, ..) inside the window
+        p = draw(st.sampled_from(_MID_PRIMES))
+        size = draw(st.integers(1, 5000))
+        lo = max(1, p * p - draw(st.integers(0, size - 1)))
+    return lo, lo + size - 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=_integer_specs(2), window=_windows())
+# each branch for sure: strided and batched primes with p^2 = 4489 inside,
+# the scalar branch near 2^40, and exact ints where int64 locals would wrap
+@example(spec=specs.tau_m(3), window=(1, 5000))
+@example(spec=specs.mu_k(2), window=(4000, 9000))
+@example(spec=specs.tau_m(2), window=((1 << 40) - 30, (1 << 40) + 1))
+@example(spec=specs.tau_m(40), window=((1 << 30) + 1, (1 << 30) + 800))
+@example(spec=specs.dirichlet_inverse(specs.tau_m(3)), window=(10**12, 10**12 + 40))
+def test_engine1_matches_points(spec, window):
+    lo, hi = window
+    vals = arith.sieve_range(spec, lo, hi).values
+    want = [arith.evaluate_point(spec, n) for n in range(lo, hi + 1)]
+    assert vals.tolist() == want
+    if vals.dtype != object:
+        assert max(map(abs, want)) < 1 << 62
+
+
+def test_engine1_int64_products_do_not_wrap():
+    # every local of tau_40 fits in int64 below 2^26, but their product at
+    # 2^10 3^2 5 7 11 13 does not; it used to wrap to a negative value
+    n = 46126080
+    got = arith.sieve_range(specs.tau_m(40), n - 3, n + 3).values
+    assert got.dtype == object
+    assert got.tolist() == [arith.evaluate_point(specs.tau_m(40), m) for m in range(n - 3, n + 4)]
+
+
+def test_engine1_peak_memory():
+    spec = specs.tau_m(2)
+    lo, size = 2_000_000_001, 1 << 18
+    want = arith.sieve_range(spec, lo, lo + size - 1).values  # warm the caches
+    tracemalloc.start()
+    try:
+        got = arith.sieve_range(spec, lo, lo + size - 1).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= 32 * size

@@ -9,16 +9,20 @@ pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
 one numpy expression; a real convolution runs one sweep, a strided slice per
 d <= sqrt(hi) and the larger d by cofactor from high to low.
 
-Two range routes share that recursion.  A prefix table [1, N] sweeps whole
-child arrays and is cached; a table that has to grow sweeps only its new
-entries, and windows ending at or below ``PREFIX_WINDOW_MAX`` are sliced from
-it.  A far window takes the child windows it needs from the
-recursion, at a cost that grows like y log x + x^(3/4), not like x.  The point
-route evaluates one argument from its factorization.  Every route adds a
-convolution's terms in increasing d over its first factor and computes log
-powers with the same numpy expression, so a real value does not depend on its
-route, bit for bit.  Integer work is exact: the int64 fast paths carry bound
-guards and escalate to Python integers rather than wrap around.
+Two rules place the work of a convolution.  The route rule: a window that ends
+at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix table
+[1, N], which grows at least twofold and sweeps only its new entries; any other
+window is computed on its own, with no table.  The shape rule: on a window at
+least as long as its offset (2 (lo - 1) <= hi, as every fresh or growing table
+is) the children are evaluated once as arrays from 1; a far window takes the
+child windows it needs from the recursion, at a cost that grows like
+y log x + x^(3/4), not like x.  The point route evaluates one argument from its
+factorization.  Every route adds a convolution's terms in increasing d over its
+first factor and computes log powers with the same numpy expression, so a real
+value does not depend on its route, bit for bit.  Integer work is exact: the
+int64 fast paths carry bound guards and escalate to Python integers rather than
+wrap around.  An integer spec's arrays are int64 or object and a real spec's
+are float64, so a sum reads its exactness off the dtypes.
 """
 
 from __future__ import annotations
@@ -361,13 +365,14 @@ def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _window_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
+def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     """Values of a base-form spec on [lo, hi].
 
-    A convolution on a prefix table (lo = 1, or ``prefix`` when a table grows
-    by (lo - 1, hi]) evaluates each child once on [1, hi] and sweeps slices
-    of those arrays; on a far window it takes each child window the sweep
-    asks for from this recursion.
+    A convolution on a window at least as long as its offset (2 (lo - 1) <= hi:
+    a fresh prefix table, or one that grows at least twofold) evaluates each
+    child once on [1, hi], at most about twice the window, and sweeps slices of
+    those arrays; on a far window it takes each child window the sweep asks
+    for from this recursion.
     """
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
@@ -376,11 +381,11 @@ def _window_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np
         return np.log(np.arange(lo, hi + 1, dtype=np.float64)) ** spec.param
     if kind == "pointwise":
         f, g = spec.children
-        return _real_values(f, lo, hi, prefix) * _real_values(g, lo, hi, prefix)
+        return _real_values(f, lo, hi) * _real_values(g, lo, hi)
     if kind != "convolve":
         raise InvalidSpecError(f"no window engine for spec kind {kind!r}")
     f_at, g_at = (functools.partial(_real_values, c) for c in spec.children)
-    if prefix or lo == 1:
+    if 2 * (lo - 1) <= hi:
         fv, gv = f_at(1, hi), g_at(1, hi)
         f_at, g_at = (lambda a, b: fv[a - 1 : b]), (lambda a, b: gv[a - 1 : b])
     # integer convolutions have prime-power locals, so this one is real
@@ -389,18 +394,14 @@ def _window_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np
     return out
 
 
-def _real_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
+def _real_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     """A child of a real node: exact big-int values become floats, as at a point."""
-    v = _window_values(spec, lo, hi, prefix)
+    v = _window_values(spec, lo, hi)
     return v.astype(np.float64) if v.dtype == object else v
 
 
-def _range_values(spec: FuncSpec, lo: int, hi: int, prefix: bool = False) -> np.ndarray:
-    return _window_values(base_form(spec), lo, hi, prefix)
-
-
-def _table_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    return prefix_values(spec, hi)[lo : hi + 1]
+def _range_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+    return _window_values(base_form(spec), lo, hi)
 
 
 def _prefix_entry(spec: FuncSpec, N: int) -> dict:
@@ -420,7 +421,7 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
             N = max(N, 2 * entry["N"])
     # for the same reason a growing table sweeps only (old N, N], and its
     # running sum goes on from the old last entry in the same order
-    w = _range_values(spec, entry["N"] + 1, N, prefix=True)
+    w = _range_values(spec, entry["N"] + 1, N)
     values = np.concatenate((entry["values"], w))
     sums = _running_sum(np.concatenate((entry["sums"], w)), entry["N"])
     entry = {"N": N, "values": values, "sums": sums}
@@ -511,27 +512,27 @@ def evaluate_point(spec: FuncSpec, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _choose_engine(spec: FuncSpec, lo: int, hi: int):
-    """Pick the window engine once, based on the full requested range.
+def _choose_engine(spec: FuncSpec, lo: int, hi: int) -> str:
+    """The tag of the route that evaluates the spec on [lo, hi].
 
-    Returns (tag, fn); the tag names the route and enters the disk-cache key.
-    A far window ("n") needs arrays of isqrt(hi) entries, so it is refused here,
+    The tag enters the disk-cache key.  A convolution ending at or below
+    ``PREFIX_WINDOW_MAX`` is sliced from its cached prefix table ("x").  A far
+    window ("n") needs arrays of isqrt(hi) entries, so it is refused here,
     before any allocation, when those would exceed the segment cap.
     """
     if prime_power_locals(spec) is not None:
-        return "m", _mult_window_values
+        return "m"
     kind = spec.kind
     if kind == "log_pow":
-        return "l", _range_values
+        return "l"
     if kind == "pointwise":
-        ta, _ = _choose_engine(spec.children[0], lo, hi)
-        tb, _ = _choose_engine(spec.children[1], lo, hi)
-        return f"p({ta},{tb})", _range_values
-    if lo == 1 or hi <= PREFIX_WINDOW_MAX:
-        return "x", _table_values
+        ta, tb = (_choose_engine(c, lo, hi) for c in spec.children)
+        return f"p({ta},{tb})"
+    if hi <= PREFIX_WINDOW_MAX:
+        return "x"
     if math.isqrt(hi) > SEGMENT_CAP:
         raise SegmentCapError(f"far window up to {hi} exceeds the segment cap {SEGMENT_CAP}")
-    return "n", _range_values
+    return "n"
 
 
 def sieve_range(
@@ -540,7 +541,6 @@ def sieve_range(
     hi: int,
     *,
     segment_cap: int | None = None,
-    _engine=None,
 ) -> ValueTable:
     """Exact table of the spec on [lo, hi]; identical to pointwise evaluation."""
     cap = SEGMENT_CAP if segment_cap is None else segment_cap
@@ -552,12 +552,12 @@ def sieve_range(
         raise SegmentCapError(
             f"window of {hi - lo + 1} entries exceeds the segment cap {cap}"
         )
-    tag, engine = _engine if _engine is not None else _choose_engine(spec, lo, hi)
+    tag = _choose_engine(spec, lo, hi)
     if _segment_cache is not None:
         cached = _segment_cache.load(spec, tag, lo, hi)
         if cached is not None:
             return ValueTable(spec, lo, hi, cached)
-    vals = engine(spec, lo, hi)
+    vals = prefix_values(spec, hi)[lo : hi + 1] if tag == "x" else _range_values(spec, lo, hi)
     if _segment_cache is not None and vals.dtype != object:
         _segment_cache.store(spec, tag, lo, hi, vals)
     return ValueTable(spec, lo, hi, vals)
@@ -570,6 +570,22 @@ def _exact_int_sum(vals: np.ndarray) -> int:
     if bound < _INT64_SAFE:
         return int(np.sum(vals, dtype=np.int64))
     return sum(int(v) for v in vals)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Sum of a[i] * b[i]: an exact int when both arrays hold integers, else a float.
+
+    An integer spec's tables and window sums are int64 or object arrays, a real
+    spec's are float64, so the dtypes say which sum is meant.
+    """
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        return float(np.sum(a.astype(np.float64) * b.astype(np.float64)))
+    if a.dtype == object or b.dtype == object:
+        return sum(int(u) * int(v) for u, v in zip(a, b))
+    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * (len(a) + 1)
+    if bound < _INT64_SAFE:
+        return int(np.sum(a * b, dtype=np.int64))
+    return sum(int(u) * int(v) for u, v in zip(a, b))
 
 
 def short_sum_bruteforce(
@@ -589,9 +605,9 @@ def short_sum_bruteforce(
         raise PreconditionError("short sum requires x + y <= 2^63-1")
     if y == 0:
         return 0 if spec.integer_valued else 0.0
-    pair = _choose_engine(spec, x + 1, x + y)
+    _choose_engine(spec, x + 1, x + y)  # refuses a far window past the cap first
     segs = (
-        sieve_range(spec, lo, min(lo + cap - 1, x + y), segment_cap=cap, _engine=pair).values
+        sieve_range(spec, lo, min(lo + cap - 1, x + y), segment_cap=cap).values
         for lo in range(x + 1, x + y + 1, cap)
     )
     if spec.integer_valued:
@@ -616,11 +632,8 @@ def dirichlet_inverse_prefix(
 
     Exact integers: every g with g(1) != 0 is integer-valued with g(1) = 1.
     """
-    cap = SEGMENT_CAP if segment_cap is None else segment_cap
     inv = dirichlet_inverse(g)  # validates g(1) != 0
-    if N > cap:
-        raise SegmentCapError(f"inverse table of {N} entries exceeds the cap {cap}")
-    return sieve_range(inv, 1, N, segment_cap=cap)
+    return sieve_range(inv, 1, N, segment_cap=segment_cap)
 
 
 def eratosthenes_transform(

@@ -236,7 +236,7 @@ def tail_window_sum_check(
             f"tail window requires max(y, x/y) <= T <= x, got T = {T}"
         )
     K = int(x // Tq)
-    value = float(_leg(one(), f, x, x + y, K, f.integer_valued))
+    value = float(_leg(one(), f, x, x + y, K))
     prediction = (
         y * h.leading / (h.s + 1) * (math.log(x) ** (h.s + 1) - math.log(T) ** (h.s + 1))
     )

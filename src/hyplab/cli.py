@@ -71,12 +71,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_csv(header: list[str], rows: list[list], out) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _jsonable(v):
     if isinstance(v, bool):
         return v
@@ -87,17 +81,28 @@ def _jsonable(v):
     return str(v)
 
 
-def _emit(args, header, rows, out, extra=None) -> None:
+def _emit(args, header, rows, out, extra=None, *, csv_extra=False, row_extra=()) -> None:
+    """Write rows as CSV or as one JSON object.
+
+    ``extra`` adds top-level JSON keys, also written after the CSV rows as
+    ``key,value`` lines when ``csv_extra``; ``row_extra`` adds JSON-only keys
+    to each row.
+    """
+    extra = extra or {}
     if args.format == "json":
         payload = [
             {k: _jsonable(v) for k, v in zip(header, row)} for row in rows
         ]
-        doc = {"rows": payload}
-        if extra:
-            doc.update(extra)
-        out.write(json.dumps(doc) + "\n")
+        for d, more in zip(payload, row_extra):
+            d.update(more)
+        out.write(json.dumps({"rows": payload, **extra}) + "\n")
     else:
-        _emit_csv(header, rows, out)
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(v) for v in row) + "\n")
+        if csv_extra:
+            for k, v in extra.items():
+                out.write(f"{k},{_fmt(v)}\n")
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -308,19 +313,13 @@ def _cmd_verify(args, out) -> int:
         [r.x, r.y, r.exact, r.main, r.abs_err, r.env1, r.env2, r.env3, r.norm_err, r.admissible]
         for r in rows
     ]
+    row_extra = [
+        ({} if r.alt_env1 is None else {"alt_env1": float(r.alt_env1)})
+        | {"T": float(r.T), "H": int(r.H)}
+        for r in rows
+    ]
     extra = {"entry": entry.instance_id, "epsilon": args.epsilon}
-    if args.format == "json":
-        payload = []
-        for r, row in zip(rows, table):
-            d = {k: _jsonable(v) for k, v in zip(header, row)}
-            if r.alt_env1 is not None:
-                d["alt_env1"] = float(r.alt_env1)
-            d["T"] = float(r.T)
-            d["H"] = int(r.H)
-            payload.append(d)
-        out.write(json.dumps({"rows": payload, **extra}) + "\n")
-    else:
-        _emit_csv(header, table, out)
+    _emit(args, header, table, out, extra, row_extra=row_extra)
     return 0
 
 
@@ -342,12 +341,8 @@ def _cmd_envelopes(args, out) -> int:
                 [H, t, l, e, l / e]
                 for t, l, e in zip(fit.grid, fit.lhs_values, fit.envelope_values)
             )
-        _emit(args, ["H", "t", "lhs", "envelope", "ratio"], rows, out,
-              extra={"fitted_constant": fitted})
-        if args.format == "csv":
-            out.write(f"fitted_constant,{_fmt(fitted)}\n")
-        return 0
-    if which == "prop1":
+        header = ["H", "t", "lhs", "envelope", "ratio"]
+    elif which == "prop1":
         presets = {
             "small": ([100, 1000], [4, 16, 64], [4, 8, 16]),
             "medium": ([100, 1000, 10000], [4, 16, 64, 256], [4, 8, 16, 32]),
@@ -366,12 +361,9 @@ def _cmd_envelopes(args, out) -> int:
             [z, N, H, m, l, e, l / e]
             for (z, N, H, m), l, e in zip(fit.grid, fit.lhs_values, fit.envelope_values)
         ]
-        _emit(args, ["z", "N", "H", "m", "lhs", "envelope", "ratio"], rows, out,
-              extra={"fitted_constant": fit.fitted_constant})
-        if args.format == "csv":
-            out.write(f"fitted_constant,{_fmt(fit.fitted_constant)}\n")
-        return 0
-    if which == "lemma4":
+        fitted = fit.fitted_constant
+        header = ["z", "N", "H", "m", "lhs", "envelope", "ratio"]
+    elif which == "lemma4":
         xs = _parse_grid(args.x) if args.x else [1000, 10000, 100000]
         rows = []
         fitted = 0.0
@@ -380,36 +372,26 @@ def _cmd_envelopes(args, out) -> int:
             env = math.log(x) ** (1.0 + asymptotics.hooley_mean_exponent(x, args.r))
             rows.append([args.r, x, lhs, env, lhs / env])
             fitted = max(fitted, lhs / env)
-        _emit(args, ["r", "x", "lhs", "envelope", "ratio"], rows, out,
-              extra={"fitted_constant": fitted})
-        if args.format == "csv":
-            out.write(f"fitted_constant,{_fmt(fitted)}\n")
-        return 0
-    # lemma2: remainder of the truncated Fourier split against the min-sum
-    sizes = {"small": [64, 256], "medium": [64, 256, 1000], "large": [256, 1000, 4000]}
-    rows, fitted = [], 0.0
-    x = 20000
-    for N in sizes[args.grid]:
-        y = N // 3
-        for H in (8, 64):
-            f = specs.tau_m(2)
-            sigma = hyperbola.sawtooth_block_sum(f, N, x, y)
-            integral, remainder = expsum.truncated_fourier_split(f, N, x, y, H)
-            env = max(
-                expsum.tau_proximity_sum(z, N, H, 2) for z in (x, x + y)
-            )
-            ratio = abs(remainder) / env
-            fitted = max(fitted, ratio)
-            rows.append([N, x, y, H, sigma, integral, remainder, env, ratio])
-    _emit(
-        args,
-        ["N", "x", "y", "H", "sigma", "integral", "remainder", "envelope", "ratio"],
-        rows,
-        out,
-        extra={"fitted_constant": fitted},
-    )
-    if args.format == "csv":
-        out.write(f"fitted_constant,{_fmt(fitted)}\n")
+        header = ["r", "x", "lhs", "envelope", "ratio"]
+    else:
+        # lemma2: remainder of the truncated Fourier split against the min-sum
+        sizes = {"small": [64, 256], "medium": [64, 256, 1000], "large": [256, 1000, 4000]}
+        rows, fitted = [], 0.0
+        x = 20000
+        for N in sizes[args.grid]:
+            y = N // 3
+            for H in (8, 64):
+                f = specs.tau_m(2)
+                sigma = hyperbola.sawtooth_block_sum(f, N, x, y)
+                integral, remainder = expsum.truncated_fourier_split(f, N, x, y, H)
+                env = max(
+                    expsum.tau_proximity_sum(z, N, H, 2) for z in (x, x + y)
+                )
+                ratio = abs(remainder) / env
+                fitted = max(fitted, ratio)
+                rows.append([N, x, y, H, sigma, integral, remainder, env, ratio])
+        header = ["N", "x", "y", "H", "sigma", "integral", "remainder", "envelope", "ratio"]
+    _emit(args, header, rows, out, {"fitted_constant": fitted}, csv_extra=True)
     return 0
 
 

@@ -23,7 +23,8 @@ times the b-sum on (x/v, (x+y)/v] over the v <= V with a(v) != 0.  The inner
 b-sums are read from a prefix table when x+y <= ``arith.PREFIX_WINDOW_MAX``
 and come from ``short_sum_bruteforce``, one window per v, above it.  The long
 identity and ``asymptotics.tail_window_sum_check`` sum through the same leg.
-Integer legs are exact Python ints on every route.
+Integer legs are exact Python ints on every route; ``arith._dot`` reads that
+off the dtypes of the two arrays it sums.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int, isint: bool):
+def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int):
     """sum over v <= V of a(v) (b-sum on (x/v, top/v]), skipping a(v) = 0."""
     av = arith.prefix_values(a, V)
     v = np.flatnonzero(av)
-    return _mixed_sum(av[v], _window_sums(b, x, top, v), isint)
+    return arith._dot(av[v], _window_sums(b, x, top, v))
 
 
 def short_hyperbola(
@@ -132,8 +133,8 @@ def short_hyperbola(
             " use a smaller T"
         )
 
-    term_d = _leg(f, g, x, top, D, isint)
-    term_k = _leg(g, f, x, top, K, isint)
+    term_d = _leg(f, g, x, top, D)
+    term_k = _leg(g, f, x, top, K)
 
     # boundary: the single integer the interval (x/T, (x+y)/T] can contain
     k0 = top // Tq
@@ -148,19 +149,6 @@ def short_hyperbola(
         total = float(total)
         term_d, term_k, boundary = float(term_d), float(term_k), float(boundary)
     return HyperbolaDecomposition(term_d, term_k, boundary, total, float(Tq), x, y, D, K)
-
-
-def _mixed_sum(a: np.ndarray, b: np.ndarray, isint: bool):
-    if isint:
-        if a.dtype == object or b.dtype == object:
-            return sum(int(u) * int(v) for u, v in zip(a, b))
-        bound = (
-            int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * (len(a) + 1)
-        )
-        if bound < 1 << 62:
-            return int(np.sum(a * b, dtype=np.int64))
-        return sum(int(u) * int(v) for u, v in zip(a, b))
-    return float(np.sum(a.astype(np.float64) * b.astype(np.float64)))
 
 
 def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
@@ -180,7 +168,7 @@ def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
     # both tables built at x first, so the legs' reads at D and K hit them
     FD, GK = arith.prefix_sums(f, x)[D], arith.prefix_sums(g, x)[K]
     corr = int(FD) * int(GK) if isint else float(FD) * float(GK)
-    return _leg(f, g, 0, x, D, isint) + _leg(g, f, 0, x, K, isint) - corr
+    return _leg(f, g, 0, x, D) + _leg(g, f, 0, x, K) - corr
 
 
 def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:

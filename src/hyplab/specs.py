@@ -25,11 +25,13 @@ them out in the other kinds.
 
 Specs are immutable and hashable; the canonical ``key`` string doubles as the
 cache identity of every table sieved from the spec.  All evaluation lives in
-:mod:`hyplab.arith`.  This module only encodes structure: value domains,
-multiplicativity, and the values taken on prime powers when those depend on the
-exponent alone.  Every integer-valued spec has such values and f(1) = 1, which
-makes fully vectorized window sieving possible; every real-valued spec has
-f(1) = 0, so only integer specs have a Dirichlet inverse.
+:mod:`hyplab.arith`.  This module only encodes structure: the normal form and
+the values taken on prime powers when those depend on the exponent alone.  The
+value domain is read off those locals.  A spec is integer-valued exactly when it
+has them (no ``log_pow``, ``lambda_k`` or ``lambda_attached`` node), and then
+f(1) = locals[0] = 1, which makes fully vectorized window sieving possible.
+Every real-valued spec has f(1) = 0, so only integer specs have a Dirichlet
+inverse.
 """
 
 from __future__ import annotations
@@ -97,11 +99,12 @@ class FuncSpec:
 
     @property
     def integer_valued(self) -> bool:
-        return _integer_valued(self)
+        return prime_power_locals(self) is not None
 
     def value_at_1(self):
-        """The unit value f(1); an int for integer-valued specs."""
-        return _value_at_1(self)
+        """The unit value f(1): 1 for an integer-valued spec, 0.0 for a real one."""
+        locals_ = prime_power_locals(self)
+        return 0.0 if locals_ is None else locals_[0]
 
 
 def one() -> FuncSpec:
@@ -176,30 +179,6 @@ def dirichlet_inverse(g: FuncSpec) -> FuncSpec:
             f"dirichlet_inverse requires g(1) != 0, got {g.key}"
         )
     return FuncSpec("dirichlet_inverse", children=(g,))
-
-
-@functools.lru_cache(maxsize=None)
-def _value_at_1(spec: FuncSpec):
-    kind = spec.kind
-    if kind in ("log_pow", "lambda_k", "lambda_attached"):
-        return 0.0
-    if kind in ("convolve", "pointwise"):
-        a = _value_at_1(spec.children[0])
-        b = _value_at_1(spec.children[1])
-        return a * b
-    # every remaining kind has f(1) = 1; an inverse exists only for integer g,
-    # and those all have g(1) = 1
-    return 1
-
-
-@functools.lru_cache(maxsize=None)
-def _integer_valued(spec: FuncSpec) -> bool:
-    kind = spec.kind
-    if kind in ("log_pow", "lambda_k", "lambda_attached"):
-        return False
-    if kind in ("convolve", "pointwise", "dirichlet_inverse"):
-        return all(_integer_valued(c) for c in spec.children)
-    return True
 
 
 @functools.lru_cache(maxsize=None)

@@ -106,9 +106,9 @@ def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
     swept = []
     range_values = arith._range_values
 
-    def record(s, lo, hi, prefix=False):
+    def record(s, lo, hi):
         swept.append((lo, hi))
-        return range_values(s, lo, hi, prefix)
+        return range_values(s, lo, hi)
 
     monkeypatch.setattr(arith, "_range_values", record)
     arith.prefix_sums(spec, 249_000)
@@ -121,6 +121,22 @@ def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
     for name in ("values", "sums"):
         assert grown[name].dtype == fresh[name].dtype
         assert grown[name].tobytes() == fresh[name].tobytes()
+
+
+def test_sum_from_zero_grows_no_table_past_the_cap(monkeypatch):
+    # only a window ending at or below PREFIX_WINDOW_MAX is sliced from the
+    # cached table, so a long sum from x = 0 stops growing it there; the
+    # segments above the cap are far windows with the same values
+    spec = specs.convolve(specs.log_pow(1), specs.log_pow(1))
+    arith.clear_table_cache()
+    want = arith.short_sum_bruteforce(spec, 0, 200_000, segment_cap=20_000)
+    arith.clear_table_cache()
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 50_000)
+    got = arith.short_sum_bruteforce(spec, 0, 200_000, segment_cap=20_000)
+    sizes = [entry["N"] for entry in arith._table_cache.values()]
+    arith.clear_table_cache()
+    assert got.hex() == want.hex()
+    assert max(sizes) <= 50_000
 
 
 def test_far_window_pointwise_engine(monkeypatch):
@@ -145,14 +161,14 @@ def test_far_window_pointwise_engine(monkeypatch):
     lo = arith.PREFIX_WINDOW_MAX + 11
     hi = lo + 15
     for s in inputs:
-        assert arith._choose_engine(s, lo, hi)[0] == "n"
+        assert arith._choose_engine(s, lo, hi) == "n"
         assert arith.sieve_range(s, lo, hi).values.tolist() == points(s, lo, hi), s.key
     # the same at a small scale, where the prefix table is cheap to build
     lo, hi = 20011, 20026
     below = {s: arith.sieve_range(s, lo, hi).values.tolist() for s in inputs}
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", lo - 1)
     for s in inputs:
-        assert arith._choose_engine(s, lo, hi)[0] == "n"
+        assert arith._choose_engine(s, lo, hi) == "n"
         far = arith.sieve_range(s, lo, hi).values.tolist()
         table = arith.prefix_values(s, hi)[lo : hi + 1].tolist()
         assert far == below[s] == table == points(s, lo, hi), s.key

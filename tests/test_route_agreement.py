@@ -11,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hyplab import arith, specs  # noqa: E402
+from test_specs import assert_value_domain  # noqa: E402
 
 _INTEGER_LEAVES = st.sampled_from(
     [
@@ -71,5 +72,6 @@ def test_routes_agree(spec, lo, y):
     table = arith.prefix_values(spec, hi)[lo : hi + 1].tolist()
     points = [arith.evaluate_point(spec, n) for n in range(lo, hi + 1)]
     assert far == table == points
+    assert_value_domain(spec, range(lo, hi + 1))
     if spec.integer_valued:
         assert _structural(spec, hi)[lo : hi + 1].tolist() == far

@@ -1,6 +1,6 @@
 import pytest
 
-from hyplab import registry, specs
+from hyplab import arith, registry, specs
 from hyplab.errors import InvalidSpecError
 
 
@@ -64,6 +64,9 @@ def test_value_at_1():
     assert specs.convolve(specs.mobius(), specs.one()).value_at_1() == 1
 
 
+_REAL_KINDS = {"log_pow", "lambda_k", "lambda_attached"}
+
+
 def _nodes(spec):
     yield spec
     for c in spec.children:
@@ -71,8 +74,6 @@ def _nodes(spec):
 
 
 def test_value_domain_invariants():
-    # integer nodes sieve from exponent-only locals and real nodes vanish at
-    # 1, so only integer specs have inverses and those never divide
     roots = list(registry.base_specs().values())
     for e in registry.default_entries():
         roots += [e.F_spec, e.f_spec]
@@ -80,8 +81,14 @@ def test_value_domain_invariants():
         roots += [f, g]
     for root in roots:
         for node in _nodes(root):
-            if node.integer_valued:
-                assert specs.prime_power_locals(node) is not None, node.key
-                assert node.value_at_1() == 1, node.key
-            else:
-                assert node.value_at_1() == 0, node.key
+            assert_value_domain(node, (2, 12, 97, 360))
+
+
+def assert_value_domain(spec, points):
+    """Integer-valued exactly when no node is real: int values and f(1) = 1;
+    otherwise float values and f(1) = 0."""
+    integer = all(n.kind not in _REAL_KINDS for n in _nodes(spec))
+    assert spec.integer_valued == integer, spec.key
+    values = [arith.evaluate_point(spec, n) for n in (1, *points)]
+    assert all((type(v) is int) == integer for v in values), spec.key
+    assert values[0] == (1 if integer else 0), spec.key

@@ -9,25 +9,34 @@ pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
 one numpy expression; a real convolution runs one sweep, a strided slice per
 d <= sqrt(hi) and the larger d by cofactor from high to low.
 
-Two rules place the work of a convolution.  The route rule: a window that ends
-at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix table
-[1, N], which grows at least twofold and sweeps only its new entries; any other
-window is computed on its own, with no table.  The shape rule: on a window at
-least as long as its offset (2 (lo - 1) <= hi, as every fresh or growing table
-is) the children are evaluated once as arrays from 1; a far window takes the
-child windows it needs from the recursion, at a cost that grows like
-y log x + x^(3/4), not like x.  The point route evaluates one argument from its
-factorization.  Every route adds a convolution's terms in increasing d over its
-first factor and computes log powers with the same numpy expression, so a real
-value does not depend on its route, bit for bit.  Integer work is exact: the
-int64 fast paths carry bound guards and escalate to Python integers rather than
-wrap around.  An integer spec's arrays are int64 or object and a real spec's
-are float64, so a sum reads its exactness off the dtypes.
+Three rules place the work of a convolution.  The route rule: a window that
+ends at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix
+table [1, N], which grows at least twofold and sweeps only its new entries; any
+other window is computed on its own, with no table.  The shape rule: on a window
+at least as long as its offset (2 (lo - 1) <= hi, as every fresh or growing
+table is) the children are evaluated once as arrays from 1; a far window takes
+the child windows it needs from the recursion.  The cover rule: a far window's
+d <= sqrt(hi) and cofactors j go by dyadic blocks [D0, 2 D0), and a block of n
+child windows evaluates its child once, on the cover of those windows, when the
+cover has at most n isqrt(hi // D0) entries (the cost of n child sweeps) and at
+most max(2 _CONV_BLOCK, y) for a window of y entries; otherwise each window
+recurses on its own.  A cover is freed when its block is done, so at most one
+is alive per sweep loop and per recursion level, each of at most
+max(2 _CONV_BLOCK, y) entries.
+
+The point route evaluates one argument from its factorization.  Every route
+adds a convolution's terms in increasing d over its first factor and computes
+log powers with the same numpy expression, so a real value does not depend on
+its route or on the window or cover it is computed in, bit for bit.  Integer
+work is exact: the int64 fast paths carry bound guards and escalate to Python
+integers rather than wrap around.  An integer spec's arrays are int64 or object
+and a real spec's are float64, so a sum reads its exactness off the dtypes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -225,7 +234,8 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     ``acc[i]`` collects the prime powers of lo + i found so far.  A prime with
     many multiples in the window takes strided slices of multiples of p, p^2,
     ..; the others are batched into (prime, multiple) pairs, at most _CONV_BLOCK
-    at a time; a prime p >= size has at most one multiple and stays scalar.
+    at a time; a prime p >= size has at most one multiple, and the few that
+    have one, picked out by one mask, stay scalar.
     What remains of n once every p <= sqrt(hi) is out is one larger prime,
     present exactly where acc != n.
     """
@@ -276,11 +286,10 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
             np.multiply.at(acc, idx, pe)
             i = j
         del pv, k, idx, r, e, pe, cur  # free the last batch before the final pass
-    for p in ps[b:].tolist():
+    # at most one multiple each; stay scalar on the primes that have one
+    large = ps[b:]
+    for p in large[(lo - 1) // large < hi // large].tolist():
         start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        # at most one multiple inside the window; stay scalar
         r, e, q = start // p, 1, p
         while r % p == 0:
             r //= p
@@ -322,6 +331,24 @@ def _running_sum(a: np.ndarray, start: int = 0) -> np.ndarray:
     return a
 
 
+def _cover(at, lo, hi, a, b, blk):
+    """``at``, or slices of one call ``at(a, b)`` for the child windows of ``blk``.
+
+    ``blk`` lists the d or j of one dyadic block [D0, 2 D0); its child windows
+    lie inside [a, b].  On a far window (2 (lo - 1) > hi) the child is
+    evaluated once on that cover when the cover has no more entries than the
+    block's child sweeps cost, len(blk) isqrt(hi // D0), and no more than
+    max(2 _CONV_BLOCK, hi - lo + 1).
+    """
+    D0 = 1 << (blk[0].bit_length() - 1)
+    if 2 * (lo - 1) <= hi or b - a + 1 > min(
+        len(blk) * math.isqrt(hi // D0), max(2 * _CONV_BLOCK, hi - lo + 1)
+    ):
+        return at
+    c = at(a, b)
+    return lambda u, v: c[u - a : v - a + 1]
+
+
 def _conv_sweep(out, lo, hi, f_at, g_at) -> None:
     """Add the values of f * g on [lo, hi] into the zeroed array ``out``.
 
@@ -329,25 +356,37 @@ def _conv_sweep(out, lo, hi, f_at, g_at) -> None:
     adds f(d) g(n/d) in increasing d, so a value does not depend on the
     window it is computed in: one strided slice per d <= sqrt(hi), then
     cofactors j from high to low (for a fixed n, a larger j is a smaller d),
-    the d-range of each j in chunks of _CONV_BLOCK.
+    the d-range of each j in chunks of _CONV_BLOCK.  Both loops go by dyadic
+    blocks, whose child windows may come from one cover (_cover); a cover is
+    dropped before the next block takes its own.
     """
     S = math.isqrt(hi)
     fs = f_at(1, S)
     ds = np.arange(1, S + 1)
     # only the d with f(d) != 0 and a multiple in [lo, hi]
-    for d in ds[(fs != 0) & ((lo - 1) // ds < hi // ds)].tolist():
-        j0 = (lo - 1) // d + 1
-        out[d * j0 - lo :: d] += fs[d - 1] * g_at(j0, hi // d)
+    ds = ds[(fs != 0) & ((lo - 1) // ds < hi // ds)].tolist()
+    for _, blk in itertools.groupby(ds, int.bit_length):
+        blk = list(blk)
+        g_win = _cover(g_at, lo, hi, (lo - 1) // blk[-1] + 1, hi // blk[0], blk)
+        for d in blk:
+            j0 = (lo - 1) // d + 1
+            out[d * j0 - lo :: d] += fs[d - 1] * g_win(j0, hi // d)
+        del g_win
     J = hi // (S + 1)
     if J == 0:
         return
     gs = g_at(1, J)
     js = np.arange(J, 0, -1)
-    for j in js[(gs[::-1] != 0) & (np.maximum((lo - 1) // js, S) < hi // js)].tolist():
-        gj = gs[j - 1]
-        for a in range(max(S, (lo - 1) // j) + 1, hi // j + 1, _CONV_BLOCK):
-            b = min(a + _CONV_BLOCK - 1, hi // j)
-            out[a * j - lo : b * j - lo + 1 : j] += f_at(a, b) * gj
+    js = js[(gs[::-1] != 0) & (np.maximum((lo - 1) // js, S) < hi // js)].tolist()
+    for _, blk in itertools.groupby(js, int.bit_length):
+        blk = list(blk)
+        f_win = _cover(f_at, lo, hi, max(S, (lo - 1) // blk[0]) + 1, hi // blk[-1], blk)
+        for j in blk:
+            gj = gs[j - 1]
+            for a in range(max(S, (lo - 1) // j) + 1, hi // j + 1, _CONV_BLOCK):
+                b = min(a + _CONV_BLOCK - 1, hi // j)
+                out[a * j - lo : b * j - lo + 1 : j] += f_win(a, b) * gj
+        del f_win
 
 
 def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
@@ -372,7 +411,7 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     a fresh prefix table, or one that grows at least twofold) evaluates each
     child once on [1, hi], at most about twice the window, and sweeps slices of
     those arrays; on a far window it takes each child window the sweep asks
-    for from this recursion.
+    for, or the cover of a block of them, from this recursion.
     """
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)

@@ -174,6 +174,34 @@ def test_far_window_pointwise_engine(monkeypatch):
         assert far == below[s] == table == points(s, lo, hi), s.key
 
 
+def test_far_window_covers(monkeypatch):
+    # a cor8(1) verify row: one child window per d and per cofactor j made
+    # 65880 recursion calls; dyadic blocks served from one cover make far
+    # fewer, and no cover outgrows max(2 _CONV_BLOCK, y)
+    spec = registry.make_entry("cor8_log_k", 1).F_spec
+    x, y = 5234567, 1100
+    calls, covers = [0], []
+    window_values, cover = arith._window_values, arith._cover
+
+    def count(*args):
+        calls[0] += 1
+        return window_values(*args)
+
+    def spy(at, lo, hi, a, b, blk):
+        got = cover(at, lo, hi, a, b, blk)
+        if got is not at:
+            covers.append(b - a + 1)
+        return got
+
+    monkeypatch.setattr(arith, "_window_values", count)
+    monkeypatch.setattr(arith, "_cover", spy)
+    vals = arith.sieve_range(spec, x + 1, x + y).values
+    assert calls[0] < 15_000
+    assert covers and max(covers) <= max(2 * arith._CONV_BLOCK, y)
+    for n in range(x + 1, x + y + 1, 97):
+        assert vals[n - x - 1] == arith.evaluate_point(spec, n)
+
+
 def test_convolve_point_examples():
     assert arith.dirichlet_convolve_point(specs.mobius(), specs.one(), 1) == 1
     assert arith.dirichlet_convolve_point(specs.mobius(), specs.one(), 12) == 0

@@ -75,3 +75,21 @@ def test_routes_agree(spec, lo, y):
     assert_value_domain(spec, range(lo, hi + 1))
     if spec.integer_valued:
         assert _structural(spec, hi)[lo : hi + 1].tolist() == far
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    spec=st.builds(specs.convolve, _trees(2), _trees(2)),
+    lo=st.integers(20_000, 300_000),
+    y=st.integers(0, 2000),
+    data=st.data(),
+)
+def test_far_covers_agree(spec, lo, y, data):
+    # windows long enough that dyadic blocks of both sweep loops take a cover
+    hi = lo + y
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "PREFIX_WINDOW_MAX", _FAR)
+        far = arith.sieve_range(spec, lo, hi).values.tolist()
+    assert far == arith.prefix_values(spec, hi)[lo : hi + 1].tolist()
+    sample = data.draw(st.lists(st.integers(lo, hi), max_size=12))
+    assert [far[n - lo] for n in sample] == [arith.evaluate_point(spec, n) for n in sample]

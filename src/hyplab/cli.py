@@ -105,12 +105,23 @@ def _emit(args, header, rows, out, extra=None, *, csv_extra=False, row_extra=())
                 out.write(f"{k},{_fmt(v)}\n")
 
 
+def _grid_value(tok: str) -> int:
+    """An integer literal exactly, else a finite float with an integral value."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
+    try:
+        v = float(tok)
+    except ValueError:
+        raise _UsageError(f"grid value {tok!r} is not a number") from None
+    if not (math.isfinite(v) and v.is_integer()):
+        raise _UsageError(f"grid value {tok!r} is not an integer")
+    return int(v)
+
+
 def _parse_grid(text: str) -> list[int]:
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            vals.append(int(float(tok)))
+    vals = [_grid_value(tok) for tok in map(str.strip, text.split(",")) if tok]
     if not vals:
         raise _UsageError("empty grid")
     return vals
@@ -118,15 +129,19 @@ def _parse_grid(text: str) -> list[int]:
 
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"config line without '=': {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read config file {path!r}: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PreconditionError(f"config line without '=': {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -189,14 +204,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_globals(args) -> None:
     cfg = _load_config(args.config) if args.config else {}
-    if args.threads is None:
-        args.threads = int(cfg.get("threads", 1))
+    numeric = (("threads", int, 1), ("seed", int, 1729), ("epsilon", float, 0.25))
+    for key, parse, default in numeric:
+        if getattr(args, key) is None:
+            try:
+                setattr(args, key, parse(cfg.get(key, default)))
+            except ValueError:
+                raise _UsageError(f"config key {key}: bad value {cfg[key]!r}") from None
     if args.format is None:
         args.format = cfg.get("format", "csv")
-    if args.seed is None:
-        args.seed = int(cfg.get("seed", 1729))
-    if args.epsilon is None:
-        args.epsilon = float(cfg.get("epsilon", 0.25))
     if args.cache_dir is None:
         args.cache_dir = cfg.get("cache-dir") or os.environ.get(CACHE_ENV_VAR)
     if args.threads < 1:

@@ -26,12 +26,12 @@ The witness is the first anchor row attaining the maximum and, within it,
 the first anchor column that divides some cofactor of the row window, so all
 three routes give the same witness as the coordinate enumeration.
 
-Work cap.  Every call charges the divisor tuples of the coordinate
-enumeration, one fresh cap per n, also in the range functions.  For r = 2
-and 3 the charge is computed exactly before any table is built, and
-``tau(n)^2 > cap`` refuses r = 3 before the tau x tau table is allocated.
-For r = 4, :func:`delta_r` first screens ``tau(n)^3 > cap`` (a screen, not a
-bound on the work), then charges the enumeration as it runs.
+Work cap.  Every route, :func:`delta_r` and the range functions alike,
+charges each n the divisor tuples of the coordinate enumeration against one
+fresh cap, so each n is answered or refused the same way on every route.
+For r = 2 and 3 the charge is computed exactly before any table is built
+(``tau(n)^2 > cap`` refuses r = 3 before the tau x tau table is allocated);
+for r = 4 the enumeration charges as it runs and stops once past the cap.
 
 Range functions (:func:`iter_delta_values`, :func:`delta_short_sum`,
 :func:`delta_weighted_prefix`) sieve divisor lists blockwise with only
@@ -53,7 +53,6 @@ from .errors import PreconditionError, WorkCapError
 from .specs import MAX_N, tau_m
 
 __all__ = [
-    "DivisorList",
     "DeltaValue",
     "WORK_CAP",
     "divisors",
@@ -81,12 +80,6 @@ _EDGE_NUDGE = 1e-12
 
 
 @dataclass
-class DivisorList:
-    n: int
-    divisors: list[int]
-
-
-@dataclass
 class DeltaValue:
     """Exact Delta_r(n) together with maximizing window left endpoints."""
 
@@ -96,7 +89,7 @@ class DeltaValue:
     witness: tuple[float, ...]
 
 
-def divisors(n: int) -> DivisorList:
+def divisors(n: int) -> list[int]:
     """All divisors of n, sorted ascending."""
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"divisors requires 1 <= n <= 2^63-1, got {n}")
@@ -109,13 +102,13 @@ def divisors(n: int) -> DivisorList:
             grown.extend(d * q for d in divs)
         divs.extend(grown)
     divs.sort()
-    return DivisorList(n, divs)
+    return divs
 
 
 @functools.lru_cache(maxsize=64)
 def _sorted_divisors(n: int) -> tuple[int, ...]:
     """divisors(n) as a tuple, kept for the dyadic scans over many N per n."""
-    return tuple(divisors(n).divisors)
+    return tuple(divisors(n))
 
 
 class _DivisorMap(dict):
@@ -197,13 +190,6 @@ def _best_windows(
     return best, best_ws
 
 
-def _screen(tau: int, r: int, cap: int) -> None:
-    if tau ** (r - 1) > cap:
-        raise WorkCapError(
-            f"tau(n)^(r-1) = {tau ** (r - 1)} exceeds the work cap {cap}"
-        )
-
-
 def _window_ends(ds: list[int]) -> list[int]:
     """J[i] = bisect_left(ds, ds[i] * _E_TOP): the window at ds[i] holds ds[i:J[i]]."""
     ends = []
@@ -252,7 +238,8 @@ def _delta(ds: list[int], r: int, cap: int) -> tuple[int, tuple[float, ...]]:
     if r == 4:
         return _best_windows({ds[-1]: 1}, 3, _DivisorMap(ds), _Budget(cap))
     size = len(ds)
-    _screen(size, r, cap)
+    if size ** (r - 1) > cap:
+        raise WorkCapError(f"tau(n)^(r-1) = {size ** (r - 1)} exceeds the work cap {cap}")
     ends = _window_ends(ds)
     if r == 2:
         best, at = 0, 0
@@ -282,24 +269,22 @@ def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
     """Exact Delta_r(n) with a maximizing witness, r in {2, 3, 4}.
 
     Refuses with :class:`WorkCapError` when the divisor tuples charged exceed
-    ``work_cap``: exactly, before any work, for r = 2 and 3; for r = 4 after
-    the ``tau(n)^3 > work_cap`` screen, as the enumeration runs.
+    ``work_cap`` (default :data:`WORK_CAP`), by the rule every range function
+    applies to each n: exactly, before any table, for r = 2 and 3; as the
+    enumeration runs for r = 4.
     """
     cap = WORK_CAP if work_cap is None else work_cap
     if r not in (2, 3, 4):
         raise PreconditionError(f"delta_r supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"delta_r requires 1 <= n <= 2^63-1, got {n}")
-    ds = divisors(n).divisors
-    if r == 4:  # _delta screens r = 2 and 3 itself
-        _screen(len(ds), r, cap)
-    value, witness = _delta(ds, r, cap)
+    value, witness = _delta(divisors(n), r, cap)
     return DeltaValue(n, r, value, witness)
 
 
 def window_tuple_count(n: int, u: tuple[float, ...]) -> int:
     """Direct recount of divisor tuples inside the windows (e^{u_i}, e^{u_i+1}]."""
-    divmap = _DivisorMap(divisors(n).divisors)
+    divmap = _DivisorMap(divisors(n))
 
     def rec(m: int, i: int) -> int:
         if i == len(u):
@@ -356,7 +341,7 @@ def delta_r_grid_oracle(n: int, r: int, grid_step: float = 1e-4) -> int:
         raise PreconditionError(f"grid oracle supports r in {{2, 3}}, got {r}")
     if n < 1:
         raise PreconditionError(f"grid oracle requires n >= 1, got {n}")
-    divmap = _DivisorMap(divisors(n).divisors)
+    divmap = _DivisorMap(divisors(n))
     divs = divmap[n]
     logs = [math.log(d) for d in divs]
     u_max = math.log(n)
@@ -448,49 +433,43 @@ def _iter_divisor_lists(lo: int, hi: int):
         start = stop + 1
 
 
-def _range_deltas(lo: int, hi: int, r: int, work_cap: int | None):
-    cap = WORK_CAP if work_cap is None else work_cap
+def _range_deltas(lo: int, hi: int, r: int):
+    """Yield (n, Delta_r(n)) over [lo, hi], each n under its own WORK_CAP."""
+    if r not in (2, 3, 4):
+        raise PreconditionError(f"Delta_r ranges support r in {{2, 3, 4}}, got {r}")
     for n, ds in _iter_divisor_lists(lo, hi):
-        yield n, _delta(ds, r, cap)[0]
+        yield n, _delta(ds, r, WORK_CAP)[0]
 
 
-def iter_delta_values(lo: int, hi: int, r: int, *, work_cap: int | None = None):
+def iter_delta_values(lo: int, hi: int, r: int):
     """Yield (n, Delta_r(n)) over [lo, hi] from blockwise divisor lists.
 
     Gives the values of :func:`delta_r` (r in {2, 3, 4}) in about
-    (hi - lo) tau + sqrt(hi) work.  The work cap applies per n, without the
-    ``tau(n)^3`` screen that :func:`delta_r` puts before r = 4.
+    (hi - lo) tau + sqrt(hi) work, and refuses an n exactly where
+    :func:`delta_r` at :data:`WORK_CAP` does.
     """
-    if r not in (2, 3, 4):
-        raise PreconditionError(f"delta iteration supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= lo <= hi):
         raise PreconditionError(f"delta iteration requires 1 <= lo <= hi, got [{lo}, {hi}]")
-    yield from _range_deltas(lo, hi, r, work_cap)
+    yield from _range_deltas(lo, hi, r)
 
 
-def delta_short_sum(r: int, x: int, y: int, *, work_cap: int | None = None) -> int:
+def delta_short_sum(r: int, x: int, y: int) -> int:
     """Exact sum of Delta_r(n) over the window (x, x+y]; x = 0 sums a prefix.
 
     Costs about y tau + sqrt(x) work; the work cap applies per n, as in
     :func:`iter_delta_values`.
     """
-    if r not in (2, 3, 4):
-        raise PreconditionError(f"delta_short_sum supports r in {{2, 3, 4}}, got {r}")
     if x < 0 or y < 0:
         raise PreconditionError("delta_short_sum requires x >= 0 and y >= 0")
-    if y == 0:
-        return 0
-    return sum(v for _, v in _range_deltas(x + 1, x + y, r, work_cap))
+    return sum(v for _, v in _range_deltas(x + 1, x + y, r))
 
 
-def delta_weighted_prefix(r: int, x: int, *, work_cap: int | None = None) -> float:
+def delta_weighted_prefix(r: int, x: int) -> float:
     """Exact sum of Delta_r(n)/n over n <= x.
 
     Costs about x tau work in blocks of bounded memory; the work cap applies
     per n, as in :func:`iter_delta_values`.
     """
-    if r not in (2, 3, 4):
-        raise PreconditionError(f"delta prefix supports r in {{2, 3, 4}}, got {r}")
     if x < 1:
         raise PreconditionError(f"delta prefix requires x >= 1, got {x}")
-    return math.fsum(v / n for n, v in _range_deltas(1, x, r, work_cap))
+    return math.fsum(v / n for n, v in _range_deltas(1, x, r))

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from hyplab import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -79,6 +83,36 @@ def test_delta_work_cap_exit():
     r = run_cli("delta", "--n", "720720", "--r", "4", "--work-cap", "10")
     assert r.returncode == 4
     assert "cap" in r.stderr
+
+
+_VERIFY_TAU2 = ("verify", "--entry", "cor2_tau_k", "--k", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        ((*_VERIFY_TAU2, "--xgrid", "abc"), None),
+        ((*_VERIFY_TAU2, "--xgrid", "1e6", "--ylist", "nan"), None),
+        ((*_VERIFY_TAU2, "--xgrid", "inf"), None),
+        ((*_VERIFY_TAU2, "--xgrid", "1e5", "--ylist", "10.7"), None),
+        (("--config", "{cfg}", "selftest"), None),  # no such file
+        (("--config", "{cfg}", "selftest"), "threads=x\n"),
+    ],
+    ids=["xgrid-abc", "ylist-nan", "xgrid-inf", "ylist-10.7", "config-missing", "config-threads-x"],
+)
+def test_malformed_number_or_config_is_usage_error(argv, config, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    r = run_cli(*(a.format(cfg=cfg) for a in argv))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_grid_integers_stay_exact():
+    assert cli._parse_grid("9007199254740993, 2e5,4.5e6") == [
+        9007199254740993, 200000, 4500000
+    ]
 
 
 def test_verify_csv_shape_and_json_match():

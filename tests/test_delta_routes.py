@@ -54,7 +54,7 @@ def test_divisor_lists_at_squares(k, before, after):
 
 
 def _check_against_enumeration(n, r):
-    ds = hooley.divisors(n).divisors
+    ds = hooley.divisors(n)
     budget = hooley._Budget(10**12)
     want = hooley._best_windows({n: 1}, r - 1, hooley._DivisorMap(ds), budget)
     assert hooley._delta(ds, r, hooley.WORK_CAP) == want

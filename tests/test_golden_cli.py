@@ -1,8 +1,11 @@
-"""CLI output stays byte-identical: the md5 of each pinned command's stdout.
+"""CLI output stays byte-identical: the exit code and stdout md5 of each command.
 
 Each command of ``golden_cli.json`` runs in process through ``cli.main``.  A
-mismatch fails and names the toolchain the table was made with beside the
-running one, since float rows depend on numpy's ``log`` and on libm.
+row may pin an ``exit`` code (default 0); a refusal writes nothing to stdout,
+so its md5 is that of the empty string.  A mismatch fails, prints the row as
+it now runs, ready to paste, and names the toolchain the table was made with
+beside the running one, since float rows depend on numpy's ``log`` and on
+libm.
 """
 
 import contextlib
@@ -27,10 +30,12 @@ def test_cli_output_md5(row, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert cli.main(shlex.split(row["argv"])) == 0
-    got = hashlib.md5(buf.getvalue().encode()).hexdigest()
-    assert got == row["md5"], (
-        f"stdout md5 {got}, pinned {row['md5']}; table made with Python "
-        f"{GOLDEN['python']} and numpy {GOLDEN['numpy']}, running Python "
+        code = cli.main(shlex.split(row["argv"]))
+    got = {"md5": hashlib.md5(buf.getvalue().encode()).hexdigest(), "argv": row["argv"]}
+    if code != 0:
+        got["exit"] = code
+    assert (code, got["md5"]) == (row.get("exit", 0), row["md5"]), (
+        f"now {json.dumps(got)}; table made with Python {GOLDEN['python']} "
+        f"and numpy {GOLDEN['numpy']}, running Python "
         f"{platform.python_version()} and numpy {np.__version__}"
     )

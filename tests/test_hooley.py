@@ -8,15 +8,15 @@ from hyplab.errors import PreconditionError, WorkCapError
 
 
 def test_divisors_examples():
-    assert hooley.divisors(1).divisors == [1]
-    assert hooley.divisors(12).divisors == [1, 2, 3, 4, 6, 12]
+    assert hooley.divisors(1) == [1]
+    assert hooley.divisors(12) == [1, 2, 3, 4, 6, 12]
     for n in (2, 30, 97, 360, 1024):
-        assert hooley.divisors(n).divisors == brute_divisors(n)
+        assert hooley.divisors(n) == brute_divisors(n)
 
 
 def test_divisor_count_is_tau():
     for n in range(1, 1000):
-        assert len(hooley.divisors(n).divisors) == arith.evaluate_point(
+        assert len(hooley.divisors(n)) == arith.evaluate_point(
             specs.tau_m(2), n
         )
 
@@ -133,18 +133,38 @@ def test_weighted_prefix_ratio_bounded():
 
 
 @pytest.mark.parametrize("r,cap", [(2, 32), (3, 1592)])
-def test_window_sums_charge_the_cap_per_n(r, cap):
+def test_window_sums_charge_the_cap_per_n(r, cap, monkeypatch):
     # every n <= 1100 fits under cap (the largest single charge), the window
     # (1000, 1100] as a whole does not
-    per_n = dict(hooley.iter_delta_values(1, 1100, r, work_cap=cap))
-    assert per_n == dict(hooley.iter_delta_values(1, 1100, r))
+    full = dict(hooley.iter_delta_values(1, 1100, r))
+    monkeypatch.setattr(hooley, "WORK_CAP", cap)
+    per_n = dict(hooley.iter_delta_values(1, 1100, r))
+    assert per_n == full
     window = sum(per_n[n] for n in range(1001, 1101))
-    assert hooley.delta_short_sum(r, 1000, 100, work_cap=cap) == window
-    assert hooley.delta_weighted_prefix(r, 1100, work_cap=cap) == math.fsum(
+    assert hooley.delta_short_sum(r, 1000, 100) == window
+    assert hooley.delta_weighted_prefix(r, 1100) == math.fsum(
         v / n for n, v in per_n.items()
     )
+    monkeypatch.setattr(hooley, "WORK_CAP", cap - 1)
     with pytest.raises(WorkCapError):
-        hooley.delta_short_sum(r, 1000, 100, work_cap=cap - 1)
+        hooley.delta_short_sum(r, 1000, 100)
+
+
+@pytest.mark.parametrize("cap,value", [(115_608, 155), (115_607, None)])
+def test_delta4_refuses_at_the_exact_charge_on_every_route(cap, value, monkeypatch):
+    # tau(5040) = 60, so tau^3 = 216000 > cap; the enumeration charges 115608
+    monkeypatch.setattr(hooley, "WORK_CAP", cap)
+    routes = [
+        lambda: hooley.delta_r(5040, 4, work_cap=cap).value,
+        lambda: dict(hooley.iter_delta_values(5040, 5040, 4))[5040],
+        lambda: hooley.delta_short_sum(4, 5039, 1),
+    ]
+    for route in routes:
+        if value is None:
+            with pytest.raises(WorkCapError):
+                route()
+        else:
+            assert route() == value
 
 
 def test_delta3_refuses_at_the_exact_charge():

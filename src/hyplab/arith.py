@@ -11,11 +11,13 @@ d <= sqrt(hi) and the larger d by cofactor from high to low.
 
 Three rules place the work of a convolution.  The route rule: a window that
 ends at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix
-table [1, N], which grows at least twofold and sweeps only its new entries; any
-other window is computed on its own, with no table.  The shape rule: on a window
-at least as long as its offset (2 (lo - 1) <= hi, as every fresh or growing
-table is) the children are evaluated once as arrays from 1; a far window takes
-the child windows it needs from the recursion.  The cover rule: a far window's
+table [1, N], which grows twofold, up to ``PREFIX_WINDOW_MAX``, and sweeps only
+its new entries; any other window is computed on its own, with no table.  No
+table is built past that cap: a request past it raises ``SegmentCapError``
+before anything is allocated.  The shape rule: on a window at least as long as
+its offset (2 (lo - 1) <= hi, as every fresh or doubling table is) the children
+are evaluated once as arrays from 1; a far window takes the child windows it
+needs from the recursion.  The cover rule: a far window's
 d <= sqrt(hi) and cofactors j go by dyadic blocks [D0, 2 D0), and a block of n
 child windows evaluates its child once, on the cover of those windows, when the
 cover has at most n isqrt(hi // D0) entries (the cost of n child sweeps) and at
@@ -73,11 +75,11 @@ __all__ = [
     "clear_table_cache",
 ]
 
-#: Default cap on the width of a single sieved table.
+#: Cap on the width of a single sieved table and on the prime sieve.
 SEGMENT_CAP = 1 << 24
 
 #: Windows of divisor-loop specs fall back to a cached prefix table when the
-#: window's upper end does not exceed this bound.
+#: window's upper end does not exceed this bound; no prefix table is built past it.
 PREFIX_WINDOW_MAX = 4_000_000
 
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
@@ -408,7 +410,7 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     """Values of a base-form spec on [lo, hi].
 
     A convolution on a window at least as long as its offset (2 (lo - 1) <= hi:
-    a fresh prefix table, or one that grows at least twofold) evaluates each
+    a fresh prefix table, or one that grows twofold) evaluates each
     child once on [1, hi], at most about twice the window, and sweeps slices of
     those arrays; on a far window it takes each child window the sweep asks
     for, or the cover of a block of them, from this recursion.
@@ -452,12 +454,16 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
             _table_cache.pop(key)
             _table_cache[key] = entry
             return entry
+        if N > PREFIX_WINDOW_MAX:
+            raise SegmentCapError(
+                f"prefix table up to {N} exceeds the prefix cap {PREFIX_WINDOW_MAX}"
+            )
         if entry is None:
             entry = {"N": 0, "values": np.zeros(1, np.int64), "sums": np.zeros(1, np.int64)}
         else:
             # amortize growing access patterns; per-index values do not depend
             # on the build size, so overshooting is invisible to callers
-            N = max(N, 2 * entry["N"])
+            N = max(N, min(2 * entry["N"], PREFIX_WINDOW_MAX))
     # for the same reason a growing table sweeps only (old N, N], and its
     # running sum goes on from the old last entry in the same order
     w = _range_values(spec, entry["N"] + 1, N)
@@ -477,7 +483,10 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
 
 
 def prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
-    """Array v with v[n] = spec(n) for 0 <= n <= N (v[0] = 0), cached."""
+    """Array v with v[n] = spec(n) for 0 <= n <= N (v[0] = 0), cached.
+
+    A table that is not cached is refused past ``PREFIX_WINDOW_MAX``.
+    """
     return _prefix_entry(spec, N)["values"][: N + 1]
 
 
@@ -574,22 +583,15 @@ def _choose_engine(spec: FuncSpec, lo: int, hi: int) -> str:
     return "n"
 
 
-def sieve_range(
-    spec: FuncSpec,
-    lo: int,
-    hi: int,
-    *,
-    segment_cap: int | None = None,
-) -> ValueTable:
+def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
     """Exact table of the spec on [lo, hi]; identical to pointwise evaluation."""
-    cap = SEGMENT_CAP if segment_cap is None else segment_cap
     if not (1 <= lo <= hi):
         raise PreconditionError(f"sieve_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_N:
         raise PreconditionError(f"sieve_range requires hi <= 2^63-1, got {hi}")
-    if hi - lo + 1 > cap:
+    if hi - lo + 1 > SEGMENT_CAP:
         raise SegmentCapError(
-            f"window of {hi - lo + 1} entries exceeds the segment cap {cap}"
+            f"window of {hi - lo + 1} entries exceeds the segment cap {SEGMENT_CAP}"
         )
     tag = _choose_engine(spec, lo, hi)
     if _segment_cache is not None:
@@ -627,9 +629,7 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return sum(int(u) * int(v) for u, v in zip(a, b))
 
 
-def short_sum_bruteforce(
-    spec: FuncSpec, x: int, y: int, *, segment_cap: int | None = None
-):
+def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     """Exact sum of the spec over the window (x, x+y].
 
     x = 0 sums the prefix [1, y].  Windows wider than the segment cap are
@@ -637,7 +637,6 @@ def short_sum_bruteforce(
     path and grouping-independent (one global compensated sum) on the real
     path, so the result does not depend on the cap.
     """
-    cap = SEGMENT_CAP if segment_cap is None else segment_cap
     if x < 0 or y < 0:
         raise PreconditionError(f"short sum requires x >= 0 and y >= 0, got {x}, {y}")
     if x + y > MAX_N:
@@ -646,12 +645,26 @@ def short_sum_bruteforce(
         return 0 if spec.integer_valued else 0.0
     _choose_engine(spec, x + 1, x + y)  # refuses a far window past the cap first
     segs = (
-        sieve_range(spec, lo, min(lo + cap - 1, x + y), segment_cap=cap).values
-        for lo in range(x + 1, x + y + 1, cap)
+        sieve_range(spec, lo, min(lo + SEGMENT_CAP - 1, x + y)).values
+        for lo in range(x + 1, x + y + 1, SEGMENT_CAP)
     )
     if spec.integer_valued:
         return sum(_exact_int_sum(v) for v in segs)
     return math.fsum(v for seg in segs for v in seg.tolist())
+
+
+def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
+    """Sums of b over the windows (x // v, top // v], one per entry of v."""
+    lo, hi = x // v, top // v
+    if b.kind == "one":
+        return hi - lo
+    if top <= PREFIX_WINDOW_MAX:
+        sums = prefix_sums(b, top)
+        return sums[hi] - sums[lo]
+    return np.array(
+        [short_sum_bruteforce(b, int(l), int(h - l)) for l, h in zip(lo, hi)],
+        dtype=object if b.integer_valued else np.float64,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,28 +677,22 @@ def dirichlet_convolve_point(f: FuncSpec, g: FuncSpec, n: int):
     return evaluate_point(convolve(f, g), n)
 
 
-def dirichlet_inverse_prefix(
-    g: FuncSpec, N: int, *, segment_cap: int | None = None
-) -> ValueTable:
+def dirichlet_inverse_prefix(g: FuncSpec, N: int) -> ValueTable:
     """Table of the convolution inverse of g on [1, N].
 
     Exact integers: every g with g(1) != 0 is integer-valued with g(1) = 1.
     """
     inv = dirichlet_inverse(g)  # validates g(1) != 0
-    return sieve_range(inv, 1, N, segment_cap=segment_cap)
+    return sieve_range(inv, 1, N)
 
 
-def eratosthenes_transform(
-    F: FuncSpec, N: int, *, segment_cap: int | None = None
-) -> ValueTable:
+def eratosthenes_transform(F: FuncSpec, N: int) -> ValueTable:
     """Table of F * mobius on [1, N]; convolving back with `one` recovers F."""
-    return sieve_range(convolve(F, mobius()), 1, N, segment_cap=segment_cap)
+    return sieve_range(convolve(F, mobius()), 1, N)
 
 
-def von_mangoldt_attached(
-    g: FuncSpec, N: int, *, segment_cap: int | None = None
-) -> ValueTable:
+def von_mangoldt_attached(g: FuncSpec, N: int) -> ValueTable:
     """Table of the von Mangoldt function attached to g on [1, N]."""
     from .specs import lambda_attached  # validates g(1) != 0
 
-    return sieve_range(lambda_attached(g), 1, N, segment_cap=segment_cap)
+    return sieve_range(lambda_attached(g), 1, N)

@@ -139,7 +139,7 @@ def _load_config(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise PreconditionError(f"config line without '=': {line!r}")
+            raise _UsageError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -205,6 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_globals(args) -> None:
     cfg = _load_config(args.config) if args.config else {}
     numeric = (("threads", int, 1), ("seed", int, 1729), ("epsilon", float, 0.25))
+    for key in cfg:
+        if key not in ("threads", "seed", "epsilon", "format", "cache-dir"):
+            raise _UsageError(f"unknown config key {key!r}")
     for key, parse, default in numeric:
         if getattr(args, key) is None:
             try:
@@ -213,6 +216,8 @@ def _resolve_globals(args) -> None:
                 raise _UsageError(f"config key {key}: bad value {cfg[key]!r}") from None
     if args.format is None:
         args.format = cfg.get("format", "csv")
+        if args.format not in ("csv", "json"):
+            raise _UsageError(f"config key format: bad value {args.format!r}")
     if args.cache_dir is None:
         args.cache_dir = cfg.get("cache-dir") or os.environ.get(CACHE_ENV_VAR)
     if args.threads < 1:

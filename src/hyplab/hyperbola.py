@@ -20,9 +20,9 @@ classified exactly and the identity survives adversarial T.
 
 Both legs are one sum with f and g swapped: ``_leg(a, b, ...)`` adds a(v)
 times the b-sum on (x/v, (x+y)/v] over the v <= V with a(v) != 0.  The inner
-b-sums are read from a prefix table when x+y <= ``arith.PREFIX_WINDOW_MAX``
-and come from ``short_sum_bruteforce``, one window per v, above it.  The long
-identity and ``asymptotics.tail_window_sum_check`` sum through the same leg.
+b-sums come from ``arith._window_sums`` by arith's route rule, and arith
+refuses a prefix table past its cap, so a T or an x too large exits 4.  The
+long identity and ``asymptotics.tail_window_sum_check`` sum through the same leg.
 Integer legs are exact Python ints on every route; ``arith._dot`` reads that
 off the dtypes of the two arrays it sums.
 """
@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import PreconditionError, SegmentCapError
+from .errors import PreconditionError
 from .specs import FuncSpec
 
 __all__ = [
@@ -82,31 +82,16 @@ class HyperbolaDecomposition:
 
 def _as_fraction(T) -> Fraction:
     try:
-        q = Fraction(T)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"T must be a real number, got {T!r}") from exc
-    return q
-
-
-def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
-    """Sums of b over the windows (x // v, top // v], one per entry of v."""
-    lo, hi = x // v, top // v
-    if b.kind == "one":
-        return hi - lo
-    if top <= arith.PREFIX_WINDOW_MAX:
-        sums = arith.prefix_sums(b, top)
-        return sums[hi] - sums[lo]
-    return np.array(
-        [arith.short_sum_bruteforce(b, int(l), int(h - l)) for l, h in zip(lo, hi)],
-        dtype=object if b.integer_valued else np.float64,
-    )
+        return Fraction(T)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"T must be a finite real number, got {T!r}") from exc
 
 
 def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int):
     """sum over v <= V of a(v) (b-sum on (x/v, top/v]), skipping a(v) = 0."""
     av = arith.prefix_values(a, V)
     v = np.flatnonzero(av)
-    return arith._dot(av[v], _window_sums(b, x, top, v))
+    return arith._dot(av[v], arith._window_sums(b, x, top, v))
 
 
 def short_hyperbola(
@@ -127,11 +112,6 @@ def short_hyperbola(
     K = x // Tq
     isint = f.integer_valued and g.integer_valued
     top = x + y
-    if D > arith.PREFIX_WINDOW_MAX:
-        raise SegmentCapError(
-            f"d-leg table of {D} entries exceeds the prefix cap {arith.PREFIX_WINDOW_MAX};"
-            " use a smaller T"
-        )
 
     term_d = _leg(f, g, x, top, D)
     term_k = _leg(g, f, x, top, K)
@@ -158,10 +138,6 @@ def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
     Tq = _as_fraction(T)
     if not (1 <= Tq <= x):
         raise PreconditionError(f"long hyperbola requires 1 <= T <= x, got T = {T}")
-    if x > arith.PREFIX_WINDOW_MAX:
-        raise SegmentCapError(
-            f"long hyperbola prefix tables capped at {arith.PREFIX_WINDOW_MAX}, got x = {x}"
-        )
     D = math.floor(Tq)
     K = x // Tq
     isint = f.integer_valued and g.integer_valued

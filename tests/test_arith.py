@@ -70,9 +70,10 @@ def test_sieve_matches_point_on_windows(base_spec_map):
                     assert got == pytest.approx(pt, rel=1e-12, abs=1e-12), (name, n)
 
 
-def test_segment_cap_enforced():
+def test_segment_cap_enforced(monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT_CAP", 50)
     with pytest.raises(SegmentCapError):
-        arith.sieve_range(specs.one(), 1, 100, segment_cap=50)
+        arith.sieve_range(specs.one(), 1, 100)
 
 
 def test_prime_sieve_over_cap_refused(monkeypatch):
@@ -128,15 +129,37 @@ def test_sum_from_zero_grows_no_table_past_the_cap(monkeypatch):
     # cached table, so a long sum from x = 0 stops growing it there; the
     # segments above the cap are far windows with the same values
     spec = specs.convolve(specs.log_pow(1), specs.log_pow(1))
+    monkeypatch.setattr(arith, "SEGMENT_CAP", 20_000)
     arith.clear_table_cache()
-    want = arith.short_sum_bruteforce(spec, 0, 200_000, segment_cap=20_000)
+    want = arith.short_sum_bruteforce(spec, 0, 200_000)
     arith.clear_table_cache()
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 50_000)
-    got = arith.short_sum_bruteforce(spec, 0, 200_000, segment_cap=20_000)
+    got = arith.short_sum_bruteforce(spec, 0, 200_000)
     sizes = [entry["N"] for entry in arith._table_cache.values()]
     arith.clear_table_cache()
     assert got.hex() == want.hex()
     assert max(sizes) <= 50_000
+
+
+def test_no_prefix_table_past_the_cap(monkeypatch):
+    # a growing table stops doubling at PREFIX_WINDOW_MAX, on a direct request
+    # and on a window sliced from it, and a request past the cap is refused
+    # before the cached table is touched
+    s = specs.convolve(specs.log_pow(1), specs.log_pow(1))
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 5000)
+    arith.clear_table_cache()
+    arith.prefix_sums(s, 3000)
+    arith.prefix_sums(s, 4000)
+    assert arith._table_cache[s.key]["N"] == 5000
+    arith.clear_table_cache()
+    arith.sieve_range(s, 2000, 2600)
+    arith.sieve_range(s, 4000, 5000)
+    assert arith._table_cache[s.key]["N"] == 5000
+    before = [(key, id(entry)) for key, entry in arith._table_cache.items()]
+    with pytest.raises(SegmentCapError):
+        arith.prefix_values(s, 5001)
+    assert [(key, id(entry)) for key, entry in arith._table_cache.items()] == before
+    arith.clear_table_cache()
 
 
 def test_far_window_pointwise_engine(monkeypatch):
@@ -310,15 +333,16 @@ def test_short_sum_examples():
     assert arith.short_sum_bruteforce(specs.mu_k(2), 0, 10) == 7
 
 
-def test_short_sum_segment_independence():
+def test_short_sum_segment_independence(monkeypatch):
     spec = specs.tau_m(3)
     ref = arith.short_sum_bruteforce(spec, 9000, 4000)
-    for cap in (64, 1000, 4096):
-        assert arith.short_sum_bruteforce(spec, 9000, 4000, segment_cap=cap) == ref
     real = specs.convolve(specs.log_pow(1), specs.one())
     ref_r = arith.short_sum_bruteforce(real, 9000, 4000)
-    for cap in (64, 1000, 4096):
-        got = arith.short_sum_bruteforce(real, 9000, 4000, segment_cap=cap)
+    # the cap also bounds the prime sieve, which needs isqrt(13000) = 114
+    for cap in (127, 1000, 4096):
+        monkeypatch.setattr(arith, "SEGMENT_CAP", cap)
+        assert arith.short_sum_bruteforce(spec, 9000, 4000) == ref
+        got = arith.short_sum_bruteforce(real, 9000, 4000)
         assert got == ref_r  # bit identical by the streaming reduction
 
 

@@ -97,8 +97,14 @@ _VERIFY_TAU2 = ("verify", "--entry", "cor2_tau_k", "--k", "2")
         ((*_VERIFY_TAU2, "--xgrid", "1e5", "--ylist", "10.7"), None),
         (("--config", "{cfg}", "selftest"), None),  # no such file
         (("--config", "{cfg}", "selftest"), "threads=x\n"),
+        (("--config", "{cfg}", "delta", "--n", "12", "--r", "2"), "format=xml\n"),
+        (("--config", "{cfg}", "selftest"), "threads\n"),
+        (("--config", "{cfg}", "selftest"), "thread=4\n"),
     ],
-    ids=["xgrid-abc", "ylist-nan", "xgrid-inf", "ylist-10.7", "config-missing", "config-threads-x"],
+    ids=[
+        "xgrid-abc", "ylist-nan", "xgrid-inf", "ylist-10.7", "config-missing",
+        "config-threads-x", "config-format-xml", "config-no-equals", "config-unknown-key",
+    ],
 )
 def test_malformed_number_or_config_is_usage_error(argv, config, tmp_path):
     cfg = tmp_path / "lab.cfg"

@@ -16,7 +16,7 @@ to be misread under that nudge.
 With a = the sorted divisors of n and J[i] the end of the window anchored at
 a[i] (a[J[i]] is the first divisor >= a[i] e^{1-1e-12}):
 
-- Delta_2 is the longest run J[i] - i, found by a two-pointer sweep.
+- Delta_2 is the largest run J[i] - i.
 - Delta_3 is the largest box sum of the table M[k, j] = [a[j] | n / a[k]]
   over rows [i, J[i]) times columns [j, J[j]), read off 2-D prefix sums.
 - Delta_4 enumerates coordinate by coordinate over a shrinking multiset of
@@ -29,13 +29,25 @@ three routes give the same witness as the coordinate enumeration.
 Work cap.  Every route, :func:`delta_r` and the range functions alike,
 charges each n the divisor tuples of the coordinate enumeration against one
 fresh cap, so each n is answered or refused the same way on every route.
-For r = 2 and 3 the charge is computed exactly before any table is built
-(``tau(n)^2 > cap`` refuses r = 3 before the tau x tau table is allocated);
-for r = 4 the enumeration charges as it runs and stops once past the cap.
+For r = 2 the charge is tau(n).  For r = 3 it is computed exactly before any
+table is built: ``tau(n)^2 > cap`` refuses first, and as the charge is at
+most tau^2 + tau^3 only the n with (1 + tau) tau^2 > cap are charged
+exactly.  For r = 4 the enumeration charges as it runs and stops once past
+the cap.
 
-Range functions (:func:`iter_delta_values`, :func:`delta_short_sum`,
-:func:`delta_weighted_prefix`) sieve divisor lists blockwise with only
-d <= sqrt(hi), so a window (x, x+y] costs about y tau + sqrt(x) work.
+Range layer.  For r = 2 and 3 there is one route: :func:`delta_r` runs it
+on a one-row block of divisors(n), and the range functions
+(:func:`iter_delta_values`, :func:`delta_short_sum`,
+:func:`delta_weighted_prefix`) on blocks of consecutive n.  A block is one
+CSR array: ``a[offsets[i]:offsets[i + 1]]`` are the sorted divisors of its
+i-th n.  A range block is sieved in numpy with only d <= sqrt(hi), so a
+window (x, x+y] costs about y tau + sqrt(x) work, in blocks of bounded
+memory.  The window ends J of the whole block come from one searchsorted on
+the integer key row * stride + a, against the integer threshold
+t = ceil(a * _E_TOP) - 1: an integer d is below the float a * _E_TOP exactly
+when d <= t, so J stays exact past 2^53.  Delta_2 is a per-row maximum of
+J - i; Delta_3 stacks the rows of equal tau and takes the box maxima of the
+whole stack at once.
 """
 
 from __future__ import annotations
@@ -190,19 +202,6 @@ def _best_windows(
     return best, best_ws
 
 
-def _window_ends(ds: list[int]) -> list[int]:
-    """J[i] = bisect_left(ds, ds[i] * _E_TOP): the window at ds[i] holds ds[i:J[i]]."""
-    ends = []
-    j = 0
-    size = len(ds)
-    for v in ds:
-        top = v * _E_TOP
-        while j < size and ds[j] < top:
-            j += 1
-        ends.append(j)
-    return ends
-
-
 def _cofactor_taus(ds: list[int]) -> list[int]:
     """tau(n / d) for each d in ds, the sorted divisors of n = ds[-1]."""
     m = ds[-1]
@@ -233,36 +232,111 @@ def _charge3(ds: list[int], ends: list[int]) -> int:
     return sum(j - i + cum[j] - cum[i] for i, j in enumerate(ends))
 
 
-def _delta(ds: list[int], r: int, cap: int) -> tuple[int, tuple[float, ...]]:
-    """Delta_r(n) and its witness from the sorted divisors ds of n; cap per n."""
+def _window_tops(a: np.ndarray) -> np.ndarray:
+    """t = ceil(a * _E_TOP) - 1 per entry: an int d has d < a * _E_TOP exactly when d <= t.
+
+    The product is the float Python forms, so the integer test agrees with
+    ``d < a * _E_TOP`` for every int64 d, also past 2^53; a top past 2^63 is
+    clipped to 2^63 - 1, which no int64 d exceeds.
+    """
+    top = np.ceil(a * _E_TOP)
+    np.minimum(top, 2.0**63, out=top)
+    top = top.astype(np.uint64)
+    top -= np.uint64(1)
+    return top.view(np.int64)
+
+
+def _block_ends(offsets: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Window ends J of every row of a CSR block: row i is a[offsets[i]:offsets[i + 1]].
+
+    J[k] is the first index of k's row holding a value >= a[k] * _E_TOP (the
+    row's end if none), found by one searchsorted on the key row * stride + a.
+    The caller keeps rows * max(a) <= 2^63 - 1, so no key overflows.
+    """
+    stride = int(a.max())
+    top = _window_tops(a)
+    np.minimum(top, stride, out=top)
+    key = np.repeat(np.arange(offsets.size - 1, dtype=np.int64) * stride, np.diff(offsets))
+    top += key
+    key += a
+    return np.searchsorted(key, top, side="right")
+
+
+def _first_refused(offsets: np.ndarray, a: np.ndarray, ends: np.ndarray, r: int, cap: int):
+    """(i, error) for the first row whose Delta_r charge exceeds cap, else (rows, None).
+
+    r = 2 is charged tau and r = 3 the exact ``_charge3``, refused at
+    tau^2 > cap before any table; as ``_charge3 <= tau^2 + tau^3``, only rows
+    with (1 + tau) tau^2 > cap are charged exactly.
+    """
+    tau = np.diff(offsets)
+    over = np.flatnonzero(tau ** (r - 1) > cap)
+    stop = int(over[0]) if over.size else tau.size
+    if r == 3:
+        for i in np.flatnonzero((1 + tau[:stop]) * tau[:stop] ** 2 > cap).tolist():
+            lo, hi = offsets[i], offsets[i + 1]
+            if _charge3(a[lo:hi].tolist(), (ends[lo:hi] - lo).tolist()) > cap:
+                return i, WorkCapError("divisor tuple enumeration exceeded the work cap")
+    if stop == tau.size:
+        return stop, None
+    power = int(tau[stop]) ** (r - 1)
+    return stop, WorkCapError(f"tau(n)^(r-1) = {power} exceeds the work cap {cap}")
+
+
+def _boxes3(A: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delta_3 box sums of a stack of rows of equal tau: A the divisors, E the local ends.
+
+    box[s, i, j] counts the pairs of row s with the first divisor in
+    [A[i], A[J[i]]) and the second in [A[j], A[J[j]]); cols[s, i, j] those
+    with the first in that window and the second below A[j].
+    """
+    c, t = A.shape
+    # prefix[s, k, j] counts the pairs (k' < k, j' < j) with A[j'] | n / A[k'] = A[t-1-k'].
+    prefix = np.zeros((c, t + 1, t + 1), dtype=np.int64)
+    inner = prefix[:, 1:, 1:]
+    np.cumsum(A[:, ::-1, None] % A[:, None, :] == 0, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
+    cols = np.take_along_axis(prefix, E[:, :, None], 1)
+    cols -= prefix[:, :t]
+    del prefix, inner
+    box = np.take_along_axis(cols, E[:, None, :], 2)
+    box -= cols[:, :, :t]
+    return box, cols
+
+
+def _block_deltas(offsets: np.ndarray, a: np.ndarray, r: int, cap: int):
+    """Delta_r of the rows of a CSR block, up to the first row refused under cap.
+
+    Returns the values of the rows before that row, as ints, and its
+    :class:`WorkCapError` (None when every row is answered).
+    """
     if r == 4:
-        return _best_windows({ds[-1]: 1}, 3, _DivisorMap(ds), _Budget(cap))
-    size = len(ds)
-    if size ** (r - 1) > cap:
-        raise WorkCapError(f"tau(n)^(r-1) = {size ** (r - 1)} exceeds the work cap {cap}")
-    ends = _window_ends(ds)
+        values = []
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            ds = a[lo:hi].tolist()
+            try:
+                values.append(_best_windows({ds[-1]: 1}, 3, _DivisorMap(ds), _Budget(cap))[0])
+            except WorkCapError as err:
+                return values, err
+        return values, None
+    ends = _block_ends(offsets, a)
+    stop, err = _first_refused(offsets, a, ends, r, cap)
+    starts = offsets[:stop]
     if r == 2:
-        best, at = 0, 0
-        for i, j in enumerate(ends):
-            if j - i > best:
-                best, at = j - i, i
-        return best, (math.log(ds[at]) - _EDGE_NUDGE,)
-    if _charge3(ds, ends) > cap:
-        raise WorkCapError("divisor tuple enumeration exceeded the work cap")
-    a = np.array(ds, dtype=np.int64)
-    rows = np.array(ends)
-    # prefix[k, j] counts the pairs (k' < k, j' < j) with a[j'] | n / a[k'].
-    prefix = np.zeros((size + 1, size + 1), dtype=np.int64)
-    prefix[1:, 1:] = ((ds[-1] // a)[:, None] % a == 0).cumsum(0).cumsum(1)
-    # cols[i, j]: pairs with row in [i, J[i]) and column < j.
-    cols = prefix[rows] - prefix[:size]
-    box = cols[:, rows] - cols[:, :size]
-    row_best = box.max(1)
-    i = int(row_best.argmax())
-    best = int(row_best[i])
-    # first best column of row i whose own column count is nonzero
-    j = int(((box[i] == best) & (cols[i, 1:] > cols[i, :-1])).argmax())
-    return best, (math.log(ds[i]) - _EDGE_NUDGE, math.log(ds[j]) - _EDGE_NUDGE)
+        ends -= np.arange(ends.size)  # the run J[i] - i at each anchor
+        return np.maximum.reduceat(ends, starts).tolist(), err
+    tau = np.diff(offsets[: stop + 1])
+    values = np.empty(stop, dtype=np.int64)
+    for t in np.flatnonzero(np.bincount(tau)).tolist():
+        group = np.flatnonzero(tau == t)
+        step = max(1, _STACK // (t * t))
+        for k in range(0, group.size, step):
+            rows = group[k : k + step]
+            base = starts[rows, None]
+            idx = base + np.arange(t)
+            box, _ = _boxes3(a[idx], ends[idx] - base)
+            values[rows] = box.reshape(rows.size, -1).max(1)
+    return values.tolist(), err
 
 
 def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
@@ -278,8 +352,28 @@ def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
         raise PreconditionError(f"delta_r supports r in {{2, 3, 4}}, got {r}")
     if not (1 <= n <= MAX_N):
         raise PreconditionError(f"delta_r requires 1 <= n <= 2^63-1, got {n}")
-    value, witness = _delta(divisors(n), r, cap)
-    return DeltaValue(n, r, value, witness)
+    ds = divisors(n)
+    if r == 4:
+        value, witness = _best_windows({n: 1}, 3, _DivisorMap(ds), _Budget(cap))
+        return DeltaValue(n, r, value, witness)
+    offsets = np.array([0, len(ds)])
+    a = np.array(ds, dtype=np.int64)
+    ends = _block_ends(offsets, a)
+    _, err = _first_refused(offsets, a, ends, r, cap)
+    if err is not None:
+        raise err
+    if r == 2:
+        run = ends - np.arange(a.size)
+        i = int(run.argmax())
+        return DeltaValue(n, r, int(run[i]), (math.log(ds[i]) - _EDGE_NUDGE,))
+    box, cols = _boxes3(a[None], ends[None])
+    box, cols = box[0], cols[0]
+    row_best = box.max(1)
+    i = int(row_best.argmax())
+    best = int(row_best[i])
+    # first best column of row i whose own column count is nonzero
+    j = int(((box[i] == best) & (cols[i, 1:] > cols[i, :-1])).argmax())
+    return DeltaValue(n, r, best, (math.log(ds[i]) - _EDGE_NUDGE, math.log(ds[j]) - _EDGE_NUDGE))
 
 
 def window_tuple_count(n: int, u: tuple[float, ...]) -> int:
@@ -409,40 +503,61 @@ def dyadic_tau_delta_check(
 # Delta sums over ranges
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 15
+_BLOCK = 1 << 14
+
+#: Most table entries in one stack of Delta_3 rows.
+_STACK = 1 << 15
 
 
-def _iter_divisor_lists(lo: int, hi: int):
-    """Yield (n, sorted divisors of n) for n in [lo, hi], in blocks of _BLOCK.
+def _divisor_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR divisors of n in [lo, hi]: row n - lo is a[offsets[n - lo]:offsets[n - lo + 1]], sorted.
 
-    Only d <= sqrt(n) is sieved; each larger divisor is the cofactor n // d.
+    Only d <= sqrt(hi) is sieved, as (row, d) pairs; each row's larger
+    divisors are the cofactors n // d in reverse, the square root once.
     """
-    start = lo
-    while start <= hi:
-        stop = min(start + _BLOCK - 1, hi)
-        small: list[list[int]] = [[] for _ in range(stop - start + 1)]
-        for d in range(1, math.isqrt(stop) + 1):
-            first = max(-(-start // d) * d, d * d)
-            for i in range(first - start, stop - start + 1, d):
-                small[i].append(d)
-        for n, ds in enumerate(small, start):
-            large = [n // d for d in reversed(ds)]
-            if ds[-1] * ds[-1] == n:
-                del large[0]
-            yield n, ds + large
-        start = stop + 1
+    d = np.arange(1, math.isqrt(hi) + 1, dtype=np.int64)
+    first = np.maximum(-(-lo // d) * d, d * d) - lo  # row of the first multiple
+    count = np.maximum((hi - lo - first) // d + 1, 0)
+    dd = np.repeat(d, count)
+    row = np.repeat(first - (np.cumsum(count) - count) * d, count)
+    row += np.arange(dd.size) * dd
+    order = np.argsort(row, kind="stable")  # row-major, d ascending in each row
+    row = row[order]
+    dd = dd[order]
+    del order
+    small = np.bincount(row, minlength=hi - lo + 1)
+    tau = 2 * small
+    tau[row[dd * dd == row + lo]] -= 1
+    offsets = np.zeros(tau.size + 1, dtype=np.int64)
+    np.cumsum(tau, out=offsets[1:])
+    # the k-th small divisor of a row goes to offsets[row] + k and its cofactor
+    # to offsets[row + 1] - 1 - k; a square root's cofactor lands on its own slot
+    at = (offsets[:-1] - np.cumsum(small) + small)[row] + np.arange(dd.size)
+    a = np.empty(offsets[-1], dtype=np.int64)
+    a[at] = dd
+    np.subtract((offsets[:-1] + offsets[1:] - 1)[row], at, out=at)
+    row += lo  # n, then in place its cofactor n // d
+    row //= dd
+    a[at] = row
+    return offsets, a
 
 
 def _range_deltas(lo: int, hi: int, r: int):
     """Yield (n, Delta_r(n)) over [lo, hi], each n under its own WORK_CAP."""
     if r not in (2, 3, 4):
         raise PreconditionError(f"Delta_r ranges support r in {{2, 3, 4}}, got {r}")
-    for n, ds in _iter_divisor_lists(lo, hi):
-        yield n, _delta(ds, r, WORK_CAP)[0]
+    cap = WORK_CAP
+    size = min(_BLOCK, MAX_N // max(hi, 1))  # keeps _block_ends' keys inside int64
+    for start in range(lo, hi + 1, size):
+        stop = min(start + size - 1, hi)
+        values, err = _block_deltas(*_divisor_block(start, stop), r, cap)
+        yield from zip(range(start, stop + 1), values)
+        if err is not None:
+            raise err
 
 
 def iter_delta_values(lo: int, hi: int, r: int):
-    """Yield (n, Delta_r(n)) over [lo, hi] from blockwise divisor lists.
+    """Yield (n, Delta_r(n)) over [lo, hi] from CSR divisor blocks.
 
     Gives the values of :func:`delta_r` (r in {2, 3, 4}) in about
     (hi - lo) tau + sqrt(hi) work, and refuses an n exactly where

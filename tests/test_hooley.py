@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,7 @@ def test_dyadic_bound_check_examples():
 def test_delta_short_sum_examples():
     assert hooley.delta_short_sum(2, 0, 1) == 1
     assert hooley.delta_short_sum(2, 10, 2) == 4  # 11 is prime, Delta(12) = 3
+    assert hooley.delta_short_sum(2, 0, 0) == hooley.delta_short_sum(3, 7, 0) == 0
 
 
 def test_delta_weighted_prefix_frozen():
@@ -167,6 +169,32 @@ def test_delta4_refuses_at_the_exact_charge_on_every_route(cap, value, monkeypat
             assert route() == value
 
 
+@pytest.mark.parametrize(
+    "n,cap,value",
+    [
+        # tau = 1344 passes the tau^2 screen; the enumeration charges 11080801
+        (735134400, 11_080_801, 2518),
+        (735134400, 11_080_800, None),
+        # tau = 240: (1 + tau) tau^2 = 13881600 > cap, but the charge 152282 fits
+        (720720, 152_282, 254),
+        (720720, 152_281, None),
+    ],
+)
+def test_delta3_refuses_at_the_exact_charge_on_every_route(n, cap, value, monkeypatch):
+    monkeypatch.setattr(hooley, "WORK_CAP", cap)
+    routes = [
+        lambda: hooley.delta_r(n, 3, work_cap=cap).value,
+        lambda: dict(hooley.iter_delta_values(n, n, 3))[n],
+        lambda: hooley.delta_short_sum(3, n - 1, 1),
+    ]
+    for route in routes:
+        if value is None:
+            with pytest.raises(WorkCapError):
+                route()
+        else:
+            assert route() == value
+
+
 def test_delta3_refuses_at_the_exact_charge():
     # tau = 1344 passes the tau^2 screen; the enumeration charges 11080801
     dv = hooley.delta_r(735134400, 3, work_cap=11_080_801)
@@ -176,3 +204,26 @@ def test_delta3_refuses_at_the_exact_charge():
         hooley.delta_r(735134400, 3, work_cap=11_080_800)
     with pytest.raises(WorkCapError):
         hooley.delta_r(735134400, 3)
+
+
+@pytest.mark.parametrize(
+    "call,bound_mb",
+    [
+        # one block of 4000 rows: about 6e4 divisors (0.5 MB as int64) and
+        # Delta_3 tables of at most 168^2 entries
+        (lambda: hooley.delta_short_sum(3, 10**6, 4000), 4),
+        # full _BLOCKs of 2^14 rows: about 1.8e5 divisors (1.4 MB as int64)
+        # each; the kernel keeps a few such arrays alive, never the whole range
+        (lambda: hooley.delta_weighted_prefix(2, 40_000), 8),
+    ],
+    ids=["delta_short_sum(3,1e6,4000)", "delta_weighted_prefix(2,40000)"],
+)
+def test_range_layer_memory_is_bounded_per_block(call, bound_mb):
+    call()  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20, peak

@@ -98,7 +98,7 @@ class HypothesisData:
         a_s = self.coefficients[-1]
         if a_s is None:
             raise PreconditionError("the leading coefficient a_s must be set")
-        return float(a_s.real) if isinstance(a_s, complex) else float(a_s)
+        return float(a_s)
 
 
 def hooley_mean_exponent(x: float, r: int) -> float:

@@ -18,7 +18,7 @@ unit-constant envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "truncated_fourier_split",
     "tau_proximity_sum",
     "tau_proximity_envelope_fit",
-    "envelope_coverage",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -46,8 +45,7 @@ class EnvelopeFit:
     """Exact left sides against a unit-constant envelope on a parameter grid.
 
     ``fitted_constant`` is the largest observed ratio lhs/envelope; it is the
-    empirical home of an implied constant.  ``extras`` holds secondary columns
-    (alternative envelope readings) keyed by name.
+    empirical home of an implied constant.
     """
 
     envelope_id: str
@@ -55,21 +53,12 @@ class EnvelopeFit:
     lhs_values: list[float]
     envelope_values: list[float]
     fitted_constant: float
-    extras: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if any(e <= 0.0 for e in self.envelope_values):
             raise PreconditionError("envelope values must be strictly positive")
         if self.fitted_constant < 0.0:
             raise PreconditionError("fitted constant must be nonnegative")
-
-
-def envelope_coverage(fit: EnvelopeFit, constant: float) -> float:
-    """Fraction of grid points with lhs <= constant * envelope."""
-    hits = sum(
-        1 for l, e in zip(fit.lhs_values, fit.envelope_values) if l <= constant * e
-    )
-    return hits / len(fit.lhs_values) if fit.lhs_values else 1.0
 
 
 def truncated_psi(t: float, H: int) -> float:
@@ -177,19 +166,16 @@ def tau_proximity_sum(z, N: int, H: int, m: int) -> float:
     return float(np.sum(tv * weight))
 
 
-def tau_proximity_envelope_fit(
-    grid, *, eps: float = 0.1, eps_alt: float = 0.4
-) -> EnvelopeFit:
+def tau_proximity_envelope_fit(grid) -> EnvelopeFit:
     """Fit proximity sums against N H^-1 log H (log N)^(m-1) (log z)^eps_{m+1}(z).
 
     ``grid`` iterates (z, N, H, m) tuples.  The power-of-z floor term of the
-    bound is reported separately in ``extras`` at two sample exponents rather
-    than folded into the envelope, since its constant is unrelated.
+    bound is left out of the envelope, since its constant is unrelated.
     """
     pts = list(grid)
     if not pts:
         raise PreconditionError("envelope fit requires a nonempty grid")
-    lhs, env, za, zb = [], [], [], []
+    lhs, env = [], []
     for z, N, H, m in pts:
         lhs.append(tau_proximity_sum(z, N, H, m))
         e = (
@@ -200,8 +186,6 @@ def tau_proximity_envelope_fit(
             * math.log(z) ** hooley_mean_exponent(z, m + 1)
         )
         env.append(e)
-        za.append(float(z) ** eps)
-        zb.append(float(z) ** eps_alt)
     fitted = max(l / e for l, e in zip(lhs, env))
     return EnvelopeFit(
         envelope_id="tau_proximity",
@@ -209,5 +193,4 @@ def tau_proximity_envelope_fit(
         lhs_values=lhs,
         envelope_values=env,
         fitted_constant=fitted,
-        extras={f"z_pow_{eps}": za, f"z_pow_{eps_alt}": zb},
     )

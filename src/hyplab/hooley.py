@@ -30,10 +30,10 @@ Work cap.  Every route, :func:`delta_r` and the range functions alike,
 charges each n the divisor tuples of the coordinate enumeration against one
 fresh cap, so each n is answered or refused the same way on every route.
 For r = 2 the charge is tau(n).  For r = 3 it is computed exactly before any
-table is built: ``tau(n)^2 > cap`` refuses first, and as the charge is at
-most tau^2 + tau^3 only the n with (1 + tau) tau^2 > cap are charged
-exactly.  For r = 4 the enumeration charges as it runs and stops once past
-the cap.
+table is built, and an n is refused only where that charge exceeds the cap;
+as the charge is at most tau^2 + tau^3, only the n with
+(1 + tau) tau^2 > cap are charged exactly.  For r = 4 the enumeration
+charges as it runs and stops once past the cap.
 
 Range layer.  For r = 2 and 3 there is one route: :func:`delta_r` runs it
 on a one-row block of divisors(n), and the range functions
@@ -265,22 +265,22 @@ def _block_ends(offsets: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _first_refused(offsets: np.ndarray, a: np.ndarray, ends: np.ndarray, r: int, cap: int):
     """(i, error) for the first row whose Delta_r charge exceeds cap, else (rows, None).
 
-    r = 2 is charged tau and r = 3 the exact ``_charge3``, refused at
-    tau^2 > cap before any table; as ``_charge3 <= tau^2 + tau^3``, only rows
-    with (1 + tau) tau^2 > cap are charged exactly.
+    r = 2 is charged tau and r = 3 the exact ``_charge3``; as
+    ``_charge3 <= tau^2 + tau^3``, only rows with (1 + tau) tau^2 > cap are
+    charged exactly.
     """
     tau = np.diff(offsets)
-    over = np.flatnonzero(tau ** (r - 1) > cap)
-    stop = int(over[0]) if over.size else tau.size
-    if r == 3:
-        for i in np.flatnonzero((1 + tau[:stop]) * tau[:stop] ** 2 > cap).tolist():
+    if r == 2:
+        over = np.flatnonzero(tau > cap)
+        if over.size:
+            i = int(over[0])
+            return i, WorkCapError(f"tau(n) = {tau[i]} exceeds the work cap {cap}")
+    else:
+        for i in np.flatnonzero((1 + tau) * tau**2 > cap).tolist():
             lo, hi = offsets[i], offsets[i + 1]
             if _charge3(a[lo:hi].tolist(), (ends[lo:hi] - lo).tolist()) > cap:
                 return i, WorkCapError("divisor tuple enumeration exceeded the work cap")
-    if stop == tau.size:
-        return stop, None
-    power = int(tau[stop]) ** (r - 1)
-    return stop, WorkCapError(f"tau(n)^(r-1) = {power} exceeds the work cap {cap}")
+    return tau.size, None
 
 
 def _boxes3(A: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

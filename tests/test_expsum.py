@@ -107,15 +107,14 @@ def test_proximity_sum_hypothesis():
         expsum.tau_proximity_sum(3, 4, 4, 1)  # N > z
 
 
-def test_envelope_fit_and_coverage_monotone():
+def test_envelope_fit_constant_is_the_largest_ratio():
     grid = [(z, N, H, 1) for z in (100, 1000) for N in (4, 16) for H in (4, 8) if H <= N]
     fit = expsum.tau_proximity_envelope_fit(grid)
     assert fit.fitted_constant >= 0
     assert all(e > 0 for e in fit.envelope_values)
-    assert set(fit.extras) == {"z_pow_0.1", "z_pow_0.4"}
-    cov = [expsum.envelope_coverage(fit, c) for c in (0.0, 0.5, 1.0, 2.0)]
-    assert cov == sorted(cov)
-    assert expsum.envelope_coverage(fit, fit.fitted_constant) == 1.0
+    ratios = [l / e for l, e in zip(fit.lhs_values, fit.envelope_values)]
+    assert fit.fitted_constant == max(ratios)
+    assert all(l <= fit.fitted_constant * e for l, e in zip(fit.lhs_values, fit.envelope_values))
 
 
 def test_envelope_fit_rejects_empty_grid():

@@ -172,12 +172,20 @@ def test_delta4_refuses_at_the_exact_charge_on_every_route(cap, value, monkeypat
 @pytest.mark.parametrize(
     "n,cap,value",
     [
-        # tau = 1344 passes the tau^2 screen; the enumeration charges 11080801
+        # tau = 1344, so tau^2 fits the cap; the enumeration charges 11080801
         (735134400, 11_080_801, 2518),
         (735134400, 11_080_800, None),
         # tau = 240: (1 + tau) tau^2 = 13881600 > cap, but the charge 152282 fits
         (720720, 152_282, 254),
         (720720, 152_281, None),
+        # tau^2 is no lower bound of the charge: the enumeration charges 61,
+        # 143, 99, each below tau^2 = 64, 144, 100
+        (66, 61, 3),
+        (66, 60, None),
+        (132, 143, 5),
+        (132, 142, None),
+        (162, 99, 3),
+        (162, 98, None),
     ],
 )
 def test_delta3_refuses_at_the_exact_charge_on_every_route(n, cap, value, monkeypatch):
@@ -196,7 +204,7 @@ def test_delta3_refuses_at_the_exact_charge_on_every_route(n, cap, value, monkey
 
 
 def test_delta3_refuses_at_the_exact_charge():
-    # tau = 1344 passes the tau^2 screen; the enumeration charges 11080801
+    # tau = 1344, so tau^2 fits the cap; the enumeration charges 11080801
     dv = hooley.delta_r(735134400, 3, work_cap=11_080_801)
     assert dv.value == 2518
     assert hooley.window_tuple_count(735134400, dv.witness) == dv.value

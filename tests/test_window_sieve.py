@@ -1,11 +1,13 @@
 """Engine 1, the multiplicative window sieve, against the point route.
 
 Random integer specs on random windows go through ``sieve_range`` and must
-equal :func:`hyplab.arith.evaluate_point` at every n, bit for bit and in
-exact Python ints where int64 could wrap.  The windows are drawn to reach
-each branch of the sieve: primes with strided slices (p < size // 256),
-batched (prime, index) pairs (p < size), the scalar branch (p >= size), and
-prime squares inside the window.
+equal :func:`hyplab.arith.evaluate_point`, bit for bit and in exact Python
+ints where int64 could wrap, and the concatenation of their sub-windows at
+random cuts.  The windows are drawn to reach both branches of the sieve,
+primes with strided slices (p < size // 256) and batched (prime, index)
+pairs, the latter with many multiples (p < size) and with at most one
+(p >= size), and prime squares inside the window.  A cut moves primes across
+the size // 256 and size boundaries.
 """
 
 import math
@@ -65,11 +67,15 @@ def _log_uniform(draw, lo_bits, hi_bits):
 
 @st.composite
 def _windows(draw):
-    kind = draw(st.sampled_from(["far", "mid", "square"]))
+    kind = draw(st.sampled_from(["far", "wide", "mid", "square"]))
     if kind == "far":
-        # sqrt(hi) far above the size: most primes take the scalar branch
+        # sqrt(hi) far above the size: nearly every prime has at most one multiple
         lo = _log_uniform(draw, 20, 40)
         size = draw(st.integers(1, 48))
+    elif kind == "wide":
+        # sqrt(hi) above the size, and a few strided primes below size // 256
+        lo = _log_uniform(draw, 34, 36)
+        size = draw(st.integers(1024, 4096))
     elif kind == "mid":
         lo = _log_uniform(draw, 1, 26)
         size = draw(st.integers(1, 5000))
@@ -78,23 +84,35 @@ def _windows(draw):
         p = draw(st.sampled_from(_MID_PRIMES))
         size = draw(st.integers(1, 5000))
         lo = max(1, p * p - draw(st.integers(0, size - 1)))
-    return lo, lo + size - 1
+    hi = lo + size - 1
+    cuts = draw(st.lists(st.integers(lo + 1, hi), max_size=3)) if lo < hi else []
+    return lo, hi, tuple(sorted(set(cuts)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(spec=_integer_specs(2), window=_windows())
 # each branch for sure: strided and batched primes with p^2 = 4489 inside,
-# the scalar branch near 2^40, and exact ints where int64 locals would wrap
-@example(spec=specs.tau_m(3), window=(1, 5000))
-@example(spec=specs.mu_k(2), window=(4000, 9000))
-@example(spec=specs.tau_m(2), window=((1 << 40) - 30, (1 << 40) + 1))
-@example(spec=specs.tau_m(40), window=((1 << 30) + 1, (1 << 30) + 800))
-@example(spec=specs.dirichlet_inverse(specs.tau_m(3)), window=(10**12, 10**12 + 40))
+# primes p >= size near 2^40 and on a wide window near 2^36, and exact ints
+# where int64 locals would wrap
+@example(spec=specs.tau_m(3), window=(1, 5000, (19, 2500)))
+@example(spec=specs.mu_k(2), window=(4000, 9000, ()))
+@example(spec=specs.tau_m(2), window=((1 << 40) - 30, (1 << 40) + 1, ((1 << 40) - 7,)))
+@example(spec=specs.tau_m(4), window=((1 << 36) - 2000, (1 << 36) + 2095, ((1 << 36) - 1000,)))
+@example(spec=specs.tau_m(40), window=((1 << 30) + 1, (1 << 30) + 800, ()))
+@example(spec=specs.dirichlet_inverse(specs.tau_m(3)), window=(10**12, 10**12 + 40, ()))
 def test_engine1_matches_points(spec, window):
-    lo, hi = window
+    lo, hi, cuts = window
     vals = arith.sieve_range(spec, lo, hi).values
-    want = [arith.evaluate_point(spec, n) for n in range(lo, hi + 1)]
-    assert vals.tolist() == want
+    ends = [lo, *cuts, hi + 1]
+    parts = [arith.sieve_range(spec, a, b - 1).values for a, b in zip(ends, ends[1:])]
+    assert np.concatenate(parts).tolist() == vals.tolist()
+    # the point route divides by the primes up to sqrt(n): a wide far window
+    # is checked at a sample of its entries
+    ns = np.arange(lo, hi + 1)
+    if ns.size * math.isqrt(hi) > 1 << 26:
+        ns = np.random.default_rng(lo).choice(ns, 8, replace=False)
+    want = [arith.evaluate_point(spec, n) for n in ns.tolist()]
+    assert vals[ns - lo].tolist() == want
     if vals.dtype != object:
         assert max(map(abs, want)) < 1 << 62
 
@@ -109,14 +127,15 @@ def test_engine1_int64_products_do_not_wrap():
 
 
 def test_engine1_peak_memory():
-    spec = specs.tau_m(2)
-    lo, size = 2_000_000_001, 1 << 18
-    want = arith.sieve_range(spec, lo, lo + size - 1).values  # warm the caches
-    tracemalloc.start()
-    try:
-        got = arith.sieve_range(spec, lo, lo + size - 1).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak <= 32 * size
+    spec, size = specs.tau_m(2), 1 << 18
+    # at 1e12 most batched primes are >= size, so most batches hold one pair per prime
+    for lo in (2_000_000_001, 10**12 + 1):
+        want = arith.sieve_range(spec, lo, lo + size - 1).values  # warm the caches
+        tracemalloc.start()
+        try:
+            got = arith.sieve_range(spec, lo, lo + size - 1).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 32 * size, lo

@@ -4,8 +4,8 @@ Every route evaluates the normal form :func:`hyplab.specs.base_form`.  Values
 on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
 (exponent-only prime-power values) go through the vectorized multiplicative
 sieve over the primes p <= sqrt(hi): a strided slice per prime with many
-multiples in the window, and every other prime with a multiple in the window
-in batches of (prime, multiple) pairs.  ``log_pow`` is
+multiples in the window, the other primes as batches of (prime, multiple)
+pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
 one numpy expression; a real convolution runs one sweep, a strided slice per
 d <= sqrt(hi) and the larger d by cofactor from high to low.
 
@@ -235,8 +235,9 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
 
     ``acc[i]`` collects the prime powers of lo + i found so far.  A prime with
     many multiples in the window takes strided slices of multiples of p, p^2,
-    ..; every other prime with a multiple in the window, picked out by one
-    mask, goes into batches of at most _CONV_BLOCK (prime, multiple) pairs.
+    ..; the others are batched into (prime, multiple) pairs, at most _CONV_BLOCK
+    at a time; a prime p >= size has at most one multiple, and the few that
+    have one, picked out by one mask, stay scalar.
     What remains of n once every p <= sqrt(hi) is out is one larger prime,
     present exactly where acc != n.
     """
@@ -246,7 +247,7 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     out = np.ones(size, dtype=L.dtype)
     acc = np.ones(size, dtype=np.int64)
     # a prime with over 256 multiples pays its numpy calls back with slices
-    a = int(np.searchsorted(ps, size // 256))
+    a, b = np.searchsorted(ps, [size // 256, size])
     for p in ps[:a].tolist():
         # e counts multiples of p, p^2, .. among the multiples of p: no division
         first = (lo - 1) // p * p + p - lo
@@ -261,8 +262,7 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
             acc[m::q] *= p
             q *= p
         out[first::p] *= L[e]
-    mid = ps[a:]
-    mid = mid[(lo - 1) // mid < hi // mid]
+    mid = ps[a:b]
     if mid.size:
         count = hi // mid - (lo - 1) // mid
         ends = np.cumsum(count)
@@ -288,6 +288,19 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
             np.multiply.at(acc, idx, pe)
             i = j
         del pv, k, idx, r, e, pe, cur  # free the last batch before the final pass
+    # at most one multiple each, at hi - hi % p when that is >= lo; stay
+    # scalar on the primes that have one
+    large = ps[b:]
+    rem = hi % large
+    hit = rem < size
+    for p, start in zip(large[hit].tolist(), (hi - rem[hit]).tolist()):
+        r, e, q = start // p, 1, p
+        while r % p == 0:
+            r //= p
+            e += 1
+            q *= p
+        acc[start - lo] *= q
+        out[start - lo] *= L[e]
     big = acc != np.arange(lo, hi + 1, dtype=np.int64)
     np.multiply(out, L[1], out=out, where=big)
     return out

@@ -6,8 +6,9 @@ on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
 sieve over the primes p <= sqrt(hi): a strided slice per prime with many
 multiples in the window, the other primes as batches of (prime, multiple)
 pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
-one numpy expression; a real convolution runs one sweep, a strided slice per
-d <= sqrt(hi) and the larger d by cofactor from high to low.
+one numpy expression.  A real convolution runs one sweep over the pairs (d, j)
+with dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j
+from high to low.
 
 Three rules place the work of a convolution.  The route rule: a window that
 ends at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix
@@ -16,20 +17,24 @@ its new entries; any other window is computed on its own, with no table.  No
 table is built past that cap: a request past it raises ``SegmentCapError``
 before anything is allocated.  The shape rule: on a window at least as long as
 its offset (2 (lo - 1) <= hi, as every fresh or doubling table is) the children
-are evaluated once as arrays from 1; a far window takes the child windows it
-needs from the recursion.  The cover rule: a far window's
-d <= sqrt(hi) and cofactors j go by dyadic blocks [D0, 2 D0), and a block of n
-child windows evaluates its child once, on the cover of those windows, when the
-cover has at most n isqrt(hi // D0) entries (the cost of n child sweeps) and at
-most max(2 _CONV_BLOCK, y) for a window of y entries; otherwise each window
-recurses on its own.  A cover is freed when its block is done, so at most one
-is alive per sweep loop and per recursion level, each of at most
+are evaluated once as arrays from 1 and the sweep takes a strided slice per d
+and per j; a far window gathers its pairs by dyadic blocks of d and of j,
+[D0, 2 D0), and adds each batch of at most _CONV_BLOCK pairs with one
+``np.add.at``, with the child values taken at the gathered points.  The cover
+rule: a far block of n child windows evaluates its child once, on the cover of
+those windows, when the cover has at most n isqrt(hi // D0) entries (the cost
+of n child sweeps) and at most max(2 _CONV_BLOCK, y) for a window of y
+entries.  A ``log_pow`` child takes no cover: its expression is evaluated at
+the gathered points themselves.  Any other child recurses on its windows, one
+per run of consecutive points.  A cover is freed when its block is done, so at
+most one is alive per sweep loop and per recursion level, each of at most
 max(2 _CONV_BLOCK, y) entries.
 
 The point route evaluates one argument from its factorization.  Every route
-adds a convolution's terms in increasing d over its first factor and computes
-log powers with the same numpy expression, so a real value does not depend on
-its route or on the window or cover it is computed in, bit for bit.  Integer
+adds a convolution's terms in increasing d over its first factor
+(``np.add.at`` applies a repeated index in array order) and computes log
+powers with the same numpy expression, so a real value does not depend on its
+route or on the window, cover or batch it is computed in, bit for bit.  Integer
 work is exact: the int64 fast paths carry bound guards and escalate to Python
 integers rather than wrap around.  An integer spec's arrays are int64 or object
 and a real spec's are float64, so a sum reads its exactness off the dtypes.
@@ -38,7 +43,6 @@ and a real spec's are float64, so a sum reads its exactness off the dtypes.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -85,8 +89,9 @@ PREFIX_WINDOW_MAX = 4_000_000
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
 _INT64_SAFE = 1 << 62
 
-#: Entries per block of the large-d convolution sweep and (prime, multiple)
-#: pairs per batch of the window sieve; bounds the temporaries of both.
+#: Entries per chunk of the near convolution sweep, (d, j) pairs per batch of
+#: the far sweep and (prime, multiple) pairs per batch of the window sieve;
+#: bounds the temporaries of all three.
 _CONV_BLOCK = 1 << 14
 
 
@@ -335,62 +340,103 @@ def _running_sum(a: np.ndarray, start: int = 0) -> np.ndarray:
     return a
 
 
-def _cover(at, lo, hi, a, b, blk):
-    """``at``, or slices of one call ``at(a, b)`` for the child windows of ``blk``.
+def _cover(spec, lo, hi, a, b, blk):
+    """The child ``spec`` on [a, b], the cover of one block's child windows, or None.
 
-    ``blk`` lists the d or j of one dyadic block [D0, 2 D0); its child windows
-    lie inside [a, b].  On a far window (2 (lo - 1) > hi) the child is
+    ``blk`` holds the rows (d or j) of one dyadic block [D0, 2 D0) of the far
+    window [lo, hi]; their child windows lie inside [a, b].  The child is
     evaluated once on that cover when the cover has no more entries than the
     block's child sweeps cost, len(blk) isqrt(hi // D0), and no more than
-    max(2 _CONV_BLOCK, hi - lo + 1).
+    max(2 _CONV_BLOCK, hi - lo + 1).  A ``log_pow`` leaf takes no cover: one
+    numpy expression at the gathered points costs less.
     """
-    D0 = 1 << (blk[0].bit_length() - 1)
-    if 2 * (lo - 1) <= hi or b - a + 1 > min(
+    D0 = 1 << (int(blk[0]).bit_length() - 1)
+    if spec.kind == "log_pow" or b - a + 1 > min(
         len(blk) * math.isqrt(hi // D0), max(2 * _CONV_BLOCK, hi - lo + 1)
     ):
-        return at
-    c = at(a, b)
-    return lambda u, v: c[u - a : v - a + 1]
+        return None
+    return _real_values(spec, a, b)
 
 
-def _conv_sweep(out, lo, hi, f_at, g_at) -> None:
-    """Add the values of f * g on [lo, hi] into the zeroed array ``out``.
+def _child_at(spec, t, cover, a):
+    """The child ``spec`` at the points ``t``, from its cover on [a, ..] if any."""
+    if cover is not None:
+        return cover[t - a]
+    if spec.kind == "log_pow":
+        # the window engine's expression, at exactly these points
+        return np.log(t.astype(np.float64)) ** spec.param
+    # each run of consecutive points is one child window
+    cut = np.flatnonzero(np.diff(t) != 1) + 1
+    firsts, lasts = t[np.r_[0, cut]].tolist(), t[np.r_[cut - 1, t.size - 1]].tolist()
+    return np.concatenate([_real_values(spec, u, v) for u, v in zip(firsts, lasts)])
 
-    ``f_at(a, b)`` and ``g_at(a, b)`` give f and g on [a, b].  Each out[n]
-    adds f(d) g(n/d) in increasing d, so a value does not depend on the
-    window it is computed in: one strided slice per d <= sqrt(hi), then
-    cofactors j from high to low (for a fixed n, a larger j is a smaller d),
-    the d-range of each j in chunks of _CONV_BLOCK.  Both loops go by dyadic
-    blocks, whose child windows may come from one cover (_cover); a cover is
-    dropped before the next block takes its own.
+
+def _add_pairs(out, lo, hi, rows, coef, t0, t1, child) -> None:
+    """Add coef[i] child(t) into out[rows[i] t - lo] for t0[i] <= t <= t1[i].
+
+    The rows go in order, by dyadic blocks with one cover each (_cover); a
+    ``log_pow`` child takes no cover, so its rows form one block.  The
+    (row, t) pairs of a block go in batches of at most _CONV_BLOCK, cut from
+    one cumsum of the row counts.  np.add.at applies a repeated index in
+    array order, so every out[n] adds its terms in the order of the rows.
+    """
+    keep = (coef != 0) & (t0 <= t1)
+    rows, coef, t0, count = rows[keep], coef[keep], t0[keep], (t1 - t0 + 1)[keep]
+    if not rows.size:
+        return
+    bounds = [0, rows.size]
+    if child.kind != "log_pow":
+        bounds[1:1] = (np.flatnonzero(np.diff(np.frexp(rows)[1])) + 1).tolist()
+    for u, v in zip(bounds, bounds[1:]):
+        r, c, t, n = rows[u:v], coef[u:v], t0[u:v], count[u:v]
+        a = int(t.min())
+        cover = _cover(child, lo, hi, a, int((t + n).max()) - 1, r)
+        ends = np.cumsum(n)
+        shift = t + n - ends  # pair p of row i is t = p + shift[i]
+        for s in range(0, int(ends[-1]), _CONV_BLOCK):
+            p = np.arange(s, min(s + _CONV_BLOCK, int(ends[-1])))
+            i = np.searchsorted(ends, p, side="right")
+            p += shift[i]
+            np.add.at(out, r[i] * p - lo, c[i] * _child_at(child, p, cover, a))
+        del cover, p, i  # at most one cover per loop and recursion level
+
+
+def _far_sweep(out, lo, hi, f, g) -> None:
+    """Add the values of f * g on the far window [lo, hi] into the zeroed ``out``.
+
+    A far window is shorter than its offset, 2 (lo - 1) > hi.  Its pairs
+    (d, j) with dj in [lo, hi] go d-major over d <= sqrt(hi), then by
+    descending cofactor j over the larger d (for a fixed n, a larger j is a
+    smaller d), so every out[n] adds f(d) g(n/d) in increasing d as the other
+    routes do (_add_pairs).
     """
     S = math.isqrt(hi)
-    fs = f_at(1, S)
     ds = np.arange(1, S + 1)
-    # only the d with f(d) != 0 and a multiple in [lo, hi]
-    ds = ds[(fs != 0) & ((lo - 1) // ds < hi // ds)].tolist()
-    for _, blk in itertools.groupby(ds, int.bit_length):
-        blk = list(blk)
-        g_win = _cover(g_at, lo, hi, (lo - 1) // blk[-1] + 1, hi // blk[0], blk)
-        for d in blk:
-            j0 = (lo - 1) // d + 1
-            out[d * j0 - lo :: d] += fs[d - 1] * g_win(j0, hi // d)
-        del g_win
+    _add_pairs(out, lo, hi, ds, _real_values(f, 1, S), (lo - 1) // ds + 1, hi // ds, g)
     J = hi // (S + 1)
-    if J == 0:
-        return
-    gs = g_at(1, J)
-    js = np.arange(J, 0, -1)
-    js = js[(gs[::-1] != 0) & (np.maximum((lo - 1) // js, S) < hi // js)].tolist()
-    for _, blk in itertools.groupby(js, int.bit_length):
-        blk = list(blk)
-        f_win = _cover(f_at, lo, hi, max(S, (lo - 1) // blk[0]) + 1, hi // blk[-1], blk)
-        for j in blk:
-            gj = gs[j - 1]
-            for a in range(max(S, (lo - 1) // j) + 1, hi // j + 1, _CONV_BLOCK):
-                b = min(a + _CONV_BLOCK - 1, hi // j)
-                out[a * j - lo : b * j - lo + 1 : j] += f_win(a, b) * gj
-        del f_win
+    if J:
+        js = np.arange(J, 0, -1)
+        t0 = np.maximum((lo - 1) // js, S) + 1
+        _add_pairs(out, lo, hi, js, _real_values(g, 1, J)[::-1], t0, hi // js, f)
+
+
+def _conv_sweep(out, lo, hi, fv, gv) -> None:
+    """Add the values of f * g on [lo, hi], 2 (lo - 1) <= hi, into the zeroed ``out``.
+
+    ``fv[n - 1]`` and ``gv[n - 1]`` hold f(n) and g(n) for n <= hi.  Each
+    out[n] adds f(d) g(n/d) in increasing d: one strided slice per
+    d <= sqrt(hi), then cofactors j from high to low, the d-range of each j
+    in chunks of _CONV_BLOCK.
+    """
+    S = math.isqrt(hi)
+    for d in (np.flatnonzero(fv[:S]) + 1).tolist():
+        j0 = (lo - 1) // d + 1
+        out[d * j0 - lo :: d] += fv[d - 1] * gv[j0 - 1 : hi // d]
+    for j in (np.flatnonzero(gv[: hi // (S + 1)]) + 1).tolist()[::-1]:
+        gj = gv[j - 1]
+        for a in range(max(S, (lo - 1) // j) + 1, hi // j + 1, _CONV_BLOCK):
+            b = min(a + _CONV_BLOCK - 1, hi // j)
+            out[a * j - lo : b * j - lo + 1 : j] += fv[a - 1 : b] * gj
 
 
 def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
@@ -404,7 +450,7 @@ def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
         if top * N >= _INT64_SAFE:
             fv, gv = fv.astype(object), gv.astype(object)
     out = np.zeros(N + 1, dtype=np.result_type(fv, gv))
-    _conv_sweep(out[1:], 1, N, lambda a, b: fv[a : b + 1], lambda a, b: gv[a : b + 1])
+    _conv_sweep(out[1:], 1, N, fv[1:], gv[1:])
     return out
 
 
@@ -414,8 +460,9 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     A convolution on a window at least as long as its offset (2 (lo - 1) <= hi:
     a fresh prefix table, or one that grows twofold) evaluates each
     child once on [1, hi], at most about twice the window, and sweeps slices of
-    those arrays; on a far window it takes each child window the sweep asks
-    for, or the cover of a block of them, from this recursion.
+    those arrays (_conv_sweep); a far window batches its (d, j) pairs and takes
+    the child values at them from covers, log expressions or this recursion
+    (_far_sweep).
     """
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
@@ -427,13 +474,13 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
         return _real_values(f, lo, hi) * _real_values(g, lo, hi)
     if kind != "convolve":
         raise InvalidSpecError(f"no window engine for spec kind {kind!r}")
-    f_at, g_at = (functools.partial(_real_values, c) for c in spec.children)
-    if 2 * (lo - 1) <= hi:
-        fv, gv = f_at(1, hi), g_at(1, hi)
-        f_at, g_at = (lambda a, b: fv[a - 1 : b]), (lambda a, b: gv[a - 1 : b])
+    f, g = spec.children
     # integer convolutions have prime-power locals, so this one is real
     out = np.zeros(hi - lo + 1, dtype=np.float64)
-    _conv_sweep(out, lo, hi, f_at, g_at)
+    if 2 * (lo - 1) <= hi:
+        _conv_sweep(out, lo, hi, _real_values(f, 1, hi), _real_values(g, 1, hi))
+    else:
+        _far_sweep(out, lo, hi, f, g)
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,9 @@ def test_far_window_pointwise_engine(monkeypatch):
 
 def test_far_window_covers(monkeypatch):
     # a cor8(1) verify row: one child window per d and per cofactor j made
-    # 65880 recursion calls; dyadic blocks served from one cover make far
-    # fewer, and no cover outgrows max(2 _CONV_BLOCK, y)
+    # 65880 recursion calls, and per-block covers still 14394, most of them
+    # tiny log windows; batched pairs take log leaves at their points, so
+    # the row makes a few hundred, and no cover outgrows max(2 _CONV_BLOCK, y)
     spec = registry.make_entry("cor8_log_k", 1).F_spec
     x, y = 5234567, 1100
     calls, covers = [0], []
@@ -210,19 +212,36 @@ def test_far_window_covers(monkeypatch):
         calls[0] += 1
         return window_values(*args)
 
-    def spy(at, lo, hi, a, b, blk):
-        got = cover(at, lo, hi, a, b, blk)
-        if got is not at:
-            covers.append(b - a + 1)
+    def spy(*args):
+        got = cover(*args)
+        if got is not None:
+            covers.append(len(got))
         return got
 
     monkeypatch.setattr(arith, "_window_values", count)
     monkeypatch.setattr(arith, "_cover", spy)
     vals = arith.sieve_range(spec, x + 1, x + y).values
-    assert calls[0] < 15_000
+    assert calls[0] < 1_000
     assert covers and max(covers) <= max(2 * arith._CONV_BLOCK, y)
     for n in range(x + 1, x + y + 1, 97):
         assert vals[n - x - 1] == arith.evaluate_point(spec, n)
+
+
+def test_far_sweep_peak_memory():
+    # the (d, j) pairs of a far sweep go in batches of at most _CONV_BLOCK, so
+    # a wide far window holds its output, one cover per loop and level and
+    # a bounded batch, not an index array per block
+    spec = registry.make_entry("cor8_log_k", 1).F_spec
+    x, y = 5_000_000, 100_000
+    want = arith.sieve_range(spec, x + 1, x + y).values  # warm the caches
+    tracemalloc.start()
+    try:
+        got = arith.sieve_range(spec, x + 1, x + y).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= 16 * y + (2 << 20)
 
 
 def test_convolve_point_examples():

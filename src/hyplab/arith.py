@@ -10,11 +10,12 @@ one numpy expression.  A real convolution runs one sweep over the pairs (d, j)
 with dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j
 from high to low.
 
-Three rules place the work of a convolution.  The route rule: a window that
-ends at or below ``PREFIX_WINDOW_MAX`` is sliced from the spec's cached prefix
-table [1, N], which grows twofold, up to ``PREFIX_WINDOW_MAX``, and sweeps only
-its new entries; any other window is computed on its own, with no table.  No
-table is built past that cap: a request past it raises ``SegmentCapError``
+Three rules place the work of a convolution.  The route rule: a window is
+computed on its own, so a window (x, x+y] costs about y + sqrt(x) work at any
+x; a spec's cached prefix table [1, N] answers prefix requests only
+(:func:`prefix_values`, :func:`prefix_sums` and the hyperbola legs).  A table
+grows twofold, up to ``PREFIX_WINDOW_MAX``, and sweeps only its new entries.
+No table is built past that cap: a request past it raises ``SegmentCapError``
 before anything is allocated.  The shape rule: on a window at least as long as
 its offset (2 (lo - 1) <= hi, as every fresh or doubling table is) the children
 are evaluated once as arrays from 1 and the sweep takes a strided slice per d
@@ -82,8 +83,8 @@ __all__ = [
 #: Cap on the width of a single sieved table and on the prime sieve.
 SEGMENT_CAP = 1 << 24
 
-#: Windows of divisor-loop specs fall back to a cached prefix table when the
-#: window's upper end does not exceed this bound; no prefix table is built past it.
+#: Largest N of a cached prefix table [1, N]; a prefix request past it is
+#: refused.  Windows never read these tables.
 PREFIX_WINDOW_MAX = 4_000_000
 
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
@@ -464,9 +465,11 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     the child values at them from covers, log expressions or this recursion
     (_far_sweep).
     """
+    kind = spec.kind
+    if kind == "one":
+        return np.ones(hi - lo + 1, dtype=np.int64)
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
-    kind = spec.kind
     if kind == "log_pow":
         return np.log(np.arange(lo, hi + 1, dtype=np.float64)) ** spec.param
     if kind == "pointwise":
@@ -610,30 +613,29 @@ def evaluate_point(spec: FuncSpec, n: int):
 
 
 def _choose_engine(spec: FuncSpec, lo: int, hi: int) -> str:
-    """The tag of the route that evaluates the spec on [lo, hi].
+    """The tag of the engine that evaluates the spec on [lo, hi].
 
-    The tag enters the disk-cache key.  A convolution ending at or below
-    ``PREFIX_WINDOW_MAX`` is sliced from its cached prefix table ("x").  A far
-    window ("n") needs arrays of isqrt(hi) entries, so it is refused here,
-    before any allocation, when those would exceed the segment cap.
+    The tag enters the disk-cache key and depends on the spec alone: the
+    window sieve ("m") for a spec with prime-power locals, one numpy
+    expression ("l") for ``log_pow``, and the window recursion ("n") for
+    any other spec.  The recursion sweeps arrays of up to isqrt(hi) entries,
+    so it is refused here, before any allocation, when those would exceed
+    the segment cap.
     """
     if prime_power_locals(spec) is not None:
         return "m"
-    kind = spec.kind
-    if kind == "log_pow":
+    if spec.kind == "log_pow":
         return "l"
-    if kind == "pointwise":
-        ta, tb = (_choose_engine(c, lo, hi) for c in spec.children)
-        return f"p({ta},{tb})"
-    if hi <= PREFIX_WINDOW_MAX:
-        return "x"
     if math.isqrt(hi) > SEGMENT_CAP:
         raise SegmentCapError(f"far window up to {hi} exceeds the segment cap {SEGMENT_CAP}")
     return "n"
 
 
 def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
-    """Exact table of the spec on [lo, hi]; identical to pointwise evaluation."""
+    """Exact table of the spec on [lo, hi]; identical to pointwise evaluation.
+
+    The window is computed on its own, never sliced from a prefix table.
+    """
     if not (1 <= lo <= hi):
         raise PreconditionError(f"sieve_range requires 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_N:
@@ -647,7 +649,7 @@ def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
         cached = _segment_cache.load(spec, tag, lo, hi)
         if cached is not None:
             return ValueTable(spec, lo, hi, cached)
-    vals = prefix_values(spec, hi)[lo : hi + 1] if tag == "x" else _range_values(spec, lo, hi)
+    vals = _range_values(spec, lo, hi)
     if _segment_cache is not None and vals.dtype != object:
         _segment_cache.store(spec, tag, lo, hi, vals)
     return ValueTable(spec, lo, hi, vals)
@@ -681,7 +683,8 @@ def _dot(a: np.ndarray, b: np.ndarray):
 def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     """Exact sum of the spec over the window (x, x+y].
 
-    x = 0 sums the prefix [1, y].  Windows wider than the segment cap are
+    x = 0 sums the prefix [1, y], computed as a window like any other: no
+    prefix table is read or built.  Windows wider than the segment cap are
     processed as consecutive segments; the reduction is exact on the integer
     path and grouping-independent (one global compensated sum) on the real
     path, so the result does not depend on the cap.
@@ -692,7 +695,7 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
         raise PreconditionError("short sum requires x + y <= 2^63-1")
     if y == 0:
         return 0 if spec.integer_valued else 0.0
-    _choose_engine(spec, x + 1, x + y)  # refuses a far window past the cap first
+    _choose_engine(spec, x + 1, x + y)  # refuses a window past the cap first
     segs = (
         sieve_range(spec, lo, min(lo + SEGMENT_CAP - 1, x + y)).values
         for lo in range(x + 1, x + y + 1, SEGMENT_CAP)

@@ -248,6 +248,14 @@ def _cmd_shortsum(args, out) -> int:
         if m not in ("sieve", "hyperbola"):
             raise _UsageError(f"unknown method {m!r}")
     x, y = args.x, args.y
+    # an inadmissible window is refused before anything is summed
+    main = env1 = env2 = env3 = ""
+    if entry is not None:
+        h = entry.hypothesis
+        main = asymptotics.main_term(h, x, y)
+        env1, env2, env3 = asymptotics.error_envelope(
+            h, x, y, args.epsilon, kappa_carries_eps=entry.kappa_carries_eps
+        )
     rows = []
     values = {}
     for m in methods:
@@ -261,13 +269,6 @@ def _cmd_shortsum(args, out) -> int:
                 specs.convolve(F, specs.mobius()), specs.one(), x, y, T
             )
             values[m] = dec.total
-    main = env1 = env2 = env3 = ""
-    if entry is not None:
-        h = entry.hypothesis
-        main = asymptotics.main_term(h, x, y)
-        env1, env2, env3 = asymptotics.error_envelope(
-            h, x, y, args.epsilon, kappa_carries_eps=entry.kappa_carries_eps
-        )
     for m in methods:
         rows.append([m, x, y, values[m], main, env1, env2, env3])
     _emit(args, ["method", "x", "y", "exact", "main", "env1", "env2", "env3"], rows, out)

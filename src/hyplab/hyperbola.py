@@ -20,9 +20,10 @@ classified exactly and the identity survives adversarial T.
 
 Both legs are one sum with f and g swapped: ``_leg(a, b, ...)`` adds a(v)
 times the b-sum on (x/v, (x+y)/v] over the v <= V with a(v) != 0.  The inner
-b-sums come from ``arith._window_sums`` by arith's route rule, and arith
-refuses a prefix table past its cap, so a T or an x too large exits 4.  The
-long identity and ``asymptotics.tail_window_sum_check`` sum through the same leg.
+b-sums come from ``arith._window_sums``, as differences of a prefix table up
+to its cap and as one window each past it; arith refuses a prefix table past
+its cap, so a T or an x too large exits 4.  The long identity and
+``asymptotics.tail_window_sum_check`` sum through the same leg.
 Integer legs are exact Python ints on every route; ``arith._dot`` reads that
 off the dtypes of the two arrays it sums.
 """

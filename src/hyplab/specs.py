@@ -190,9 +190,9 @@ def base_form(spec: FuncSpec) -> FuncSpec:
     because the attached function satisfies ``attached * g = g x log``.  A real
     convolution is flattened into its factors.  The real factors come first, in
     written order and nested to the left; the integer factors are folded into
-    one trailing factor ``I``, dropped when it is the convolution identity.  So
-    cor7's ``F`` becomes ``(mu_k(2) x log) * I`` and cor8(k)'s becomes
-    ``(log^k * log^k) * I``.
+    one trailing factor ``I``, dropped when it is the convolution identity and
+    written ``one`` when it is the constant 1.  So cor7's ``F`` becomes
+    ``(mu_k(2) x log) * one`` and cor8(k)'s becomes ``(log^k * log^k) * one``.
     """
     kind = spec.kind
     if kind == "lambda_k":
@@ -211,6 +211,8 @@ def base_form(spec: FuncSpec) -> FuncSpec:
     out = functools.reduce(convolve, real)
     if ints:
         unit = functools.reduce(convolve, ints)
+        if prime_power_locals(unit) == prime_power_locals(one()):
+            unit = one()
         if prime_power_locals(unit) != prime_power_locals(identity_at_1()):
             out = convolve(out, unit)
     return out

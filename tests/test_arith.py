@@ -126,9 +126,8 @@ def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
 
 
 def test_sum_from_zero_grows_no_table_past_the_cap(monkeypatch):
-    # only a window ending at or below PREFIX_WINDOW_MAX is sliced from the
-    # cached table, so a long sum from x = 0 stops growing it there; the
-    # segments above the cap are far windows with the same values
+    # a sum from x = 0 is a window like any other: its segments are swept
+    # on their own, with the same values at any cap, and build no table
     spec = specs.convolve(specs.log_pow(1), specs.log_pow(1))
     monkeypatch.setattr(arith, "SEGMENT_CAP", 20_000)
     arith.clear_table_cache()
@@ -136,16 +135,16 @@ def test_sum_from_zero_grows_no_table_past_the_cap(monkeypatch):
     arith.clear_table_cache()
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 50_000)
     got = arith.short_sum_bruteforce(spec, 0, 200_000)
-    sizes = [entry["N"] for entry in arith._table_cache.values()]
+    built = dict(arith._table_cache)
     arith.clear_table_cache()
     assert got.hex() == want.hex()
-    assert max(sizes) <= 50_000
+    assert built == {}
 
 
 def test_no_prefix_table_past_the_cap(monkeypatch):
-    # a growing table stops doubling at PREFIX_WINDOW_MAX, on a direct request
-    # and on a window sliced from it, and a request past the cap is refused
-    # before the cached table is touched
+    # a growing table stops doubling at PREFIX_WINDOW_MAX, a request past the
+    # cap is refused before the cached table is touched, and windows below
+    # the cap build no table at all
     s = specs.convolve(specs.log_pow(1), specs.log_pow(1))
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 5000)
     arith.clear_table_cache()
@@ -155,7 +154,8 @@ def test_no_prefix_table_past_the_cap(monkeypatch):
     arith.clear_table_cache()
     arith.sieve_range(s, 2000, 2600)
     arith.sieve_range(s, 4000, 5000)
-    assert arith._table_cache[s.key]["N"] == 5000
+    assert s.key not in arith._table_cache
+    arith.prefix_values(s, 5000)
     before = [(key, id(entry)) for key, entry in arith._table_cache.items()]
     with pytest.raises(SegmentCapError):
         arith.prefix_values(s, 5001)
@@ -164,11 +164,10 @@ def test_no_prefix_table_past_the_cap(monkeypatch):
 
 
 def test_far_window_pointwise_engine(monkeypatch):
-    # real values do not depend on the route: windows above PREFIX_WINDOW_MAX
-    # are swept on the window itself, lower ones are sliced from the cached
-    # prefix table, and single points recurse over the factorization; every
-    # route adds a convolution's terms in increasing d over its first factor,
-    # so all three agree bit for bit
+    # real values do not depend on the route: windows are swept on their
+    # own, prefix tables from 1, and single points recurse over the
+    # factorization; every route adds a convolution's terms in increasing d
+    # over its first factor, so all three agree bit for bit
     inputs = (
         specs.convolve(specs.log_pow(1), specs.log_pow(1)),
         specs.lambda_k(1),
@@ -190,12 +189,12 @@ def test_far_window_pointwise_engine(monkeypatch):
     # the same at a small scale, where the prefix table is cheap to build
     lo, hi = 20011, 20026
     below = {s: arith.sieve_range(s, lo, hi).values.tolist() for s in inputs}
+    table = {s: arith.prefix_values(s, hi)[lo : hi + 1].tolist() for s in inputs}
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", lo - 1)
     for s in inputs:
         assert arith._choose_engine(s, lo, hi) == "n"
         far = arith.sieve_range(s, lo, hi).values.tolist()
-        table = arith.prefix_values(s, hi)[lo : hi + 1].tolist()
-        assert far == below[s] == table == points(s, lo, hi), s.key
+        assert far == below[s] == table[s] == points(s, lo, hi), s.key
 
 
 def test_far_window_covers(monkeypatch):
@@ -242,6 +241,45 @@ def test_far_sweep_peak_memory():
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak <= 16 * y + (2 << 20)
+
+
+def test_window_below_cap_builds_no_table():
+    # a window ending below PREFIX_WINDOW_MAX costs y + sqrt(x), like a far
+    # one: it reads no prefix table, so no table of x entries is built
+    spec = registry.make_entry("cor8_log_k", 1).F_spec
+    x, y = 3_900_000, 1100
+    assert x + y <= arith.PREFIX_WINDOW_MAX
+    arith.clear_table_cache()
+    arith.primes_upto(math.isqrt(x + y))  # warm the shared prime cache
+    tracemalloc.start()
+    try:
+        got = arith.sieve_range(spec, x + 1, x + y).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(arith._table_cache) == []
+    assert peak <= 16 * y + (2 << 20)
+    for n in range(x + 1, x + y + 1, 97):
+        assert got[n - x - 1] == arith.evaluate_point(spec, n)
+
+
+def test_cor8_far_window_sieves_no_unit_factor(monkeypatch):
+    # cor8(1)'s integer factor mobius * tau_2 is the constant 1: its values
+    # are ones, with no pass of the window sieve
+    spec = registry.make_entry("cor8_log_k", 1).F_spec
+    x, y = 4_965_892, 1100
+    calls = []
+    sieve = arith._mult_window_values
+
+    def spy(*args):
+        calls.append(args)
+        return sieve(*args)
+
+    monkeypatch.setattr(arith, "_mult_window_values", spy)
+    vals = arith.sieve_range(spec, x + 1, x + y).values
+    assert calls == []
+    for n in range(x + 1, x + y + 1, 97):
+        assert vals[n - x - 1] == arith.evaluate_point(spec, n)
 
 
 def test_convolve_point_examples():

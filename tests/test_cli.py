@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hyplab import cli
+from hyplab import arith, cli, hyperbola
 
 
 def run_cli(*args):
@@ -270,11 +270,12 @@ def test_shortsum_far_window_over_cap_refused_at_once():
 
 def test_shortsum_multiplicative_over_cap_refused_at_once():
     # engine 1 at x = 2^62 would sieve primes up to 2^31; that sieve is
-    # refused before it is allocated
+    # refused before it is allocated.  The window is admissible (y >= 5.97e8
+    # at this x), so the envelope check, which comes first, lets it through
     r = subprocess.run(
         [
             sys.executable, "-m", "hyplab.cli", "shortsum", "--function", "tau_k",
-            "--k", "2", "--x", "4611686018427387904", "--y", "10",
+            "--k", "2", "--x", "4611686018427387904", "--y", "1000000000",
         ],
         capture_output=True,
         text=True,
@@ -282,3 +283,15 @@ def test_shortsum_multiplicative_over_cap_refused_at_once():
     )
     assert r.returncode == 4
     assert "segment cap" in r.stderr
+
+
+def test_shortsum_refuses_inadmissible_window_before_summing(monkeypatch):
+    # y = 10^4 lies below the admissible range at x = 10^10; the refusal
+    # comes before the hyperbola split sieves anything
+    def never(*args, **kwargs):
+        raise AssertionError("summed an inadmissible window")
+
+    monkeypatch.setattr(arith, "short_sum_bruteforce", never)
+    monkeypatch.setattr(hyperbola, "short_hyperbola", never)
+    argv = "shortsum --function tau_k --k 3 --x 10000000000 --y 10000 --method hyperbola"
+    assert cli.main(argv.split()) == 3

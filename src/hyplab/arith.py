@@ -14,14 +14,15 @@ Three rules place the work of a convolution.  The route rule: a window is
 computed on its own, so a window (x, x+y] costs about y + sqrt(x) work at any
 x; a spec's cached prefix table [1, N] answers prefix requests only
 (:func:`prefix_values`, :func:`prefix_sums` and the hyperbola legs).  A table
-grows twofold, up to ``PREFIX_WINDOW_MAX``, and sweeps only its new entries.
-No table is built past that cap: a request past it raises ``SegmentCapError``
-before anything is allocated.  The shape rule: on a window at least as long as
-its offset (2 (lo - 1) <= hi, as every fresh or doubling table is) the children
-are evaluated once as arrays from 1 and the sweep takes a strided slice per d
-and per j; a far window gathers its pairs by dyadic blocks of d and of j,
-[D0, 2 D0), and adds each batch of at most _CONV_BLOCK pairs with one
-``np.add.at``, with the child values taken at the gathered points.  The cover
+that must grow is built again, in one piece, at twice its size up to
+``PREFIX_WINDOW_MAX``.  No table is built past that cap: a request past it
+raises ``SegmentCapError`` before anything is allocated.  The shape rule: on a
+window at least as long as its offset (2 (lo - 1) <= hi, as every prefix table
+and dyadic block (N, 2N] is) the children are evaluated once as arrays from 1
+and the sweep takes a strided slice per d and per j; a far window gathers its
+pairs by dyadic blocks of d and of j, [D0, 2 D0), and adds each batch of at
+most _CONV_BLOCK pairs with one ``np.add.at``, with the child values taken at
+the gathered points.  The cover
 rule: a far block of n child windows evaluates its child once, on the cover of
 those windows, when the cover has at most n isqrt(hi // D0) entries (the cost
 of n child sweeps) and at most max(2 _CONV_BLOCK, y) for a window of y
@@ -125,6 +126,7 @@ def primes_upto(n: int) -> np.ndarray:
                 if sieve[p]:
                     sieve[p * p :: p] = False
             _prime_array = np.nonzero(sieve)[0].astype(np.int64)
+            _prime_array.flags.writeable = False
             _prime_limit = limit
         arr = _prime_array
     return arr[: np.searchsorted(arr, n, side="right")]
@@ -248,7 +250,8 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     present exactly where acc != n.
     """
     ps = primes_upto(math.isqrt(hi))  # refuses a sieve past the cap first
-    L = _local_table(spec, int(hi).bit_length())
+    # at least one bit, so L[1] exists on the empty window [1, 0] too
+    L = _local_table(spec, max(int(hi).bit_length(), 1))
     size = hi - lo + 1
     out = np.ones(size, dtype=L.dtype)
     acc = np.ones(size, dtype=np.int64)
@@ -326,19 +329,14 @@ def clear_table_cache() -> None:
         _table_cache.clear()
 
 
-def _running_sum(a: np.ndarray, start: int = 0) -> np.ndarray:
-    """``a`` with a[start:] replaced, in place, by its running sum from a[start].
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """The running sum of ``a``, as a new array.
 
     An int64 sum that could reach the guard bound is taken in exact Python
     integers instead, on an object copy of ``a``.
     """
-    tail = a[start:]
-    top = max(-int(tail.min(initial=0)), int(tail.max(initial=0))) if a.dtype.kind == "i" else 0
-    if top * len(tail) >= _INT64_SAFE:
-        a = a.astype(object)
-        tail = a[start:]
-    np.cumsum(tail, out=tail)
-    return a
+    top = max(-int(a.min(initial=0)), int(a.max(initial=0))) if a.dtype.kind == "i" else 0
+    return np.cumsum(a.astype(object) if top * len(a) >= _INT64_SAFE else a)
 
 
 def _cover(spec, lo, hi, a, b, blk):
@@ -459,11 +457,10 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     """Values of a base-form spec on [lo, hi].
 
     A convolution on a window at least as long as its offset (2 (lo - 1) <= hi:
-    a fresh prefix table, or one that grows twofold) evaluates each
-    child once on [1, hi], at most about twice the window, and sweeps slices of
-    those arrays (_conv_sweep); a far window batches its (d, j) pairs and takes
-    the child values at them from covers, log expressions or this recursion
-    (_far_sweep).
+    a prefix table or a dyadic block) evaluates each child once on [1, hi], at
+    most about twice the window, and sweeps slices of those arrays
+    (_conv_sweep); a far window batches its (d, j) pairs and takes the child
+    values at them from covers, log expressions or this recursion (_far_sweep).
     """
     kind = spec.kind
     if kind == "one":
@@ -498,6 +495,8 @@ def _range_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def _prefix_entry(spec: FuncSpec, N: int) -> dict:
+    if N < 0:
+        raise PreconditionError(f"prefix table requires N >= 0, got {N}")
     key = spec.key
     with _table_lock:
         entry = _table_cache.get(key)
@@ -510,17 +509,13 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
             raise SegmentCapError(
                 f"prefix table up to {N} exceeds the prefix cap {PREFIX_WINDOW_MAX}"
             )
-        if entry is None:
-            entry = {"N": 0, "values": np.zeros(1, np.int64), "sums": np.zeros(1, np.int64)}
-        else:
+        if entry is not None:
             # amortize growing access patterns; per-index values do not depend
             # on the build size, so overshooting is invisible to callers
             N = max(N, min(2 * entry["N"], PREFIX_WINDOW_MAX))
-    # for the same reason a growing table sweeps only (old N, N], and its
-    # running sum goes on from the old last entry in the same order
-    w = _range_values(spec, entry["N"] + 1, N)
-    values = np.concatenate((entry["values"], w))
-    sums = _running_sum(np.concatenate((entry["sums"], w)), entry["N"])
+    values = np.concatenate((np.zeros(1, np.int64), _range_values(spec, 1, N)))
+    sums = _running_sum(values)
+    values.flags.writeable = sums.flags.writeable = False
     entry = {"N": N, "values": values, "sums": sums}
     with _table_lock:
         prev = _table_cache.get(key)
@@ -535,7 +530,7 @@ def _prefix_entry(spec: FuncSpec, N: int) -> dict:
 
 
 def prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
-    """Array v with v[n] = spec(n) for 0 <= n <= N (v[0] = 0), cached.
+    """Read-only array v with v[n] = spec(n) for 0 <= n <= N (v[0] = 0), cached.
 
     A table that is not cached is refused past ``PREFIX_WINDOW_MAX``.
     """
@@ -543,7 +538,7 @@ def prefix_values(spec: FuncSpec, N: int) -> np.ndarray:
 
 
 def prefix_sums(spec: FuncSpec, N: int) -> np.ndarray:
-    """Array S with S[n] = sum of spec over [1, n], S[0] = 0, cached.
+    """Read-only array S with S[n] = sum of spec over [1, n], S[0] = 0, cached.
 
     The underlying value array carries a zero at index 0, so its cumulative
     sum is already the prefix-sum array and can be shared as a view.
@@ -615,12 +610,11 @@ def evaluate_point(spec: FuncSpec, n: int):
 def _choose_engine(spec: FuncSpec, lo: int, hi: int) -> str:
     """The tag of the engine that evaluates the spec on [lo, hi].
 
-    The tag enters the disk-cache key and depends on the spec alone: the
-    window sieve ("m") for a spec with prime-power locals, one numpy
-    expression ("l") for ``log_pow``, and the window recursion ("n") for
-    any other spec.  The recursion sweeps arrays of up to isqrt(hi) entries,
-    so it is refused here, before any allocation, when those would exceed
-    the segment cap.
+    The tag depends on the spec alone: the window sieve ("m") for a spec with
+    prime-power locals, one numpy expression ("l") for ``log_pow``, and the
+    window recursion ("n") for any other spec.  The recursion sweeps arrays of
+    up to isqrt(hi) entries, so it is refused here, before any allocation,
+    when those would exceed the segment cap.
     """
     if prime_power_locals(spec) is not None:
         return "m"
@@ -644,14 +638,14 @@ def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
         raise SegmentCapError(
             f"window of {hi - lo + 1} entries exceeds the segment cap {SEGMENT_CAP}"
         )
-    tag = _choose_engine(spec, lo, hi)
+    _choose_engine(spec, lo, hi)  # refuses a far window past the cap first
     if _segment_cache is not None:
-        cached = _segment_cache.load(spec, tag, lo, hi)
+        cached = _segment_cache.load(spec, lo, hi)
         if cached is not None:
             return ValueTable(spec, lo, hi, cached)
     vals = _range_values(spec, lo, hi)
     if _segment_cache is not None and vals.dtype != object:
-        _segment_cache.store(spec, tag, lo, hi, vals)
+        _segment_cache.store(spec, lo, hi, vals)
     return ValueTable(spec, lo, hi, vals)
 
 

@@ -50,19 +50,19 @@ class SegmentCache:
         self.warn_stream = warn_stream if warn_stream is not None else sys.stderr
         os.makedirs(directory, exist_ok=True)
 
-    def _path(self, spec: FuncSpec, engine: str, lo: int, hi: int) -> str:
-        key = f"{spec.key}:{engine}:{lo}:{hi}:{_VERSION}".encode()
+    def _path(self, spec: FuncSpec, lo: int, hi: int) -> str:
+        key = f"{spec.key}:{lo}:{hi}:{_VERSION}".encode()
         name = hashlib.blake2b(key, digest_size=16).hexdigest()
         return os.path.join(self.directory, f"{name}.vt")
 
-    def load(self, spec: FuncSpec, engine: str, lo: int, hi: int) -> np.ndarray | None:
-        path = self._path(spec, engine, lo, hi)
+    def load(self, spec: FuncSpec, lo: int, hi: int) -> np.ndarray | None:
+        path = self._path(spec, lo, hi)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError:
             return None
-        arr = self._decode(spec, engine, lo, hi, blob)
+        arr = self._decode(spec, lo, hi, blob)
         if arr is None:
             self.warn_stream.write(
                 f"hyplab: cache entry {os.path.basename(path)} invalid, recomputing\n"
@@ -73,7 +73,7 @@ class SegmentCache:
                 pass
         return arr
 
-    def _decode(self, spec, engine, lo, hi, blob) -> np.ndarray | None:
+    def _decode(self, spec, lo, hi, blob) -> np.ndarray | None:
         if len(blob) < _HEADER.size + 8:
             return None
         body, digest = blob[:-8], blob[-8:]
@@ -85,7 +85,7 @@ class SegmentCache:
         if (flo, fhi) != (lo, hi):
             return None
         off = _HEADER.size
-        if body[off : off + klen].decode("utf-8", "replace") != f"{spec.key}:{engine}":
+        if body[off : off + klen].decode("utf-8", "replace") != spec.key:
             return None
         payload = body[off + klen :]
         count = hi - lo + 1
@@ -95,20 +95,18 @@ class SegmentCache:
         arr = np.frombuffer(payload, dtype=dtype).copy()
         return arr.astype(np.int64 if tag == 0 else np.float64)
 
-    def store(
-        self, spec: FuncSpec, engine: str, lo: int, hi: int, values: np.ndarray
-    ) -> None:
+    def store(self, spec: FuncSpec, lo: int, hi: int, values: np.ndarray) -> None:
         if values.dtype.kind == "i":
             tag, data = 0, values.astype("<i8").tobytes()
         elif values.dtype.kind == "f":
             tag, data = 1, values.astype("<f8").tobytes()
         else:
             return  # escalated big-int tables are not cached
-        key = f"{spec.key}:{engine}".encode()
+        key = spec.key.encode()
         body = _HEADER.pack(_MAGIC, _VERSION, tag, b"\0" * 3, lo, hi, len(key))
         blob = body + key + data
         blob += _checksum(blob)
-        path = self._path(spec, engine, lo, hi)
+        path = self._path(spec, lo, hi)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -264,7 +264,7 @@ def _cmd_shortsum(args, out) -> int:
         else:
             T = args.T
             if T is None:
-                T = min(float(x), max(y * math.exp(math.log(x) ** 0.25), y, x / y))
+                T = min(float(x), max(asymptotics.proof_path_parameters(x, y)[0], y, x / y))
             dec = hyperbola.short_hyperbola(
                 specs.convolve(F, specs.mobius()), specs.one(), x, y, T
             )

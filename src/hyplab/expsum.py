@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import prefix_values
+from .arith import sieve_range
 from .asymptotics import hooley_mean_exponent
 from .errors import PreconditionError
 from .hyperbola import sawtooth_block_sum
@@ -128,7 +128,7 @@ def truncated_fourier_split(
         return 0.0, 0.0
     block = sawtooth_block_sum(f, N, x, y)
     n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    fv = prefix_values(f, 2 * N)[N + 1 : 2 * N + 1].astype(np.float64)
+    fv = sieve_range(f, N + 1, 2 * N).values.astype(np.float64)
     if H * (x + y) > 2**62:
         raise PreconditionError("H (x+y) too large for exact angle reduction")
     total = 0.0
@@ -154,7 +154,7 @@ def tau_proximity_sum(z, N: int, H: int, m: int) -> float:
     if m < 1:
         raise PreconditionError(f"proximity sum requires m >= 1, got {m}")
     n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    tv = prefix_values(tau_m(m), 2 * N)[N + 1 : 2 * N + 1].astype(np.float64)
+    tv = sieve_range(tau_m(m), N + 1, 2 * N).values.astype(np.float64)
     if isinstance(z, int):
         fr = (z % n_arr) / n_arr
     else:

@@ -126,9 +126,6 @@ def short_hyperbola(
         boundary = 0 if isint else 0.0
 
     total = term_d + term_k + boundary
-    if not isint:
-        total = float(total)
-        term_d, term_k, boundary = float(term_d), float(term_k), float(boundary)
     return HyperbolaDecomposition(term_d, term_k, boundary, total, float(Tq), x, y, D, K)
 
 
@@ -151,8 +148,10 @@ def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
 def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:
     """Sum of f(n) (psi((x+y)/n) - psi(x/n)) over the dyadic block N < n <= 2N.
 
-    Requires y < N <= x.  The sawtooth differences are evaluated through
-    integer remainders, so the jump locations are classified exactly.
+    Requires y < N <= x.  The values of f on the block are one window
+    (``arith.sieve_range``), so only the segment cap limits N.  The sawtooth
+    differences are evaluated through integer remainders, so the jump
+    locations are classified exactly.
     """
     if not (0 <= y < N <= x):
         raise PreconditionError(
@@ -161,7 +160,7 @@ def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:
     if y == 0:
         return 0.0
     n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    fv = arith.prefix_values(f, 2 * N)[N + 1 : 2 * N + 1]
+    fv = arith.sieve_range(f, N + 1, 2 * N).values
     frac_hi = ((x + y) % n_arr) / n_arr
     frac_lo = (x % n_arr) / n_arr
     return float(np.sum(fv.astype(np.float64) * (frac_hi - frac_lo)))

@@ -102,7 +102,7 @@ def test_prime_sieve_growth_stops_at_cap(monkeypatch):
 @pytest.mark.parametrize(
     "spec", [specs.convolve(specs.log_pow(1), specs.log_pow(1)), specs.tau_m(3)], ids=str
 )
-def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
+def test_growing_prefix_table_is_built_in_one_piece(spec, monkeypatch):
     arith.clear_table_cache()
     arith.prefix_sums(spec, 241_000)
     swept = []
@@ -115,7 +115,7 @@ def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
     monkeypatch.setattr(arith, "_range_values", record)
     arith.prefix_sums(spec, 249_000)
     grown = arith._table_cache[spec.key]
-    assert swept == [(241_001, 482_000)] and grown["N"] == 482_000
+    assert swept == [(1, 482_000)] and grown["N"] == 482_000
     arith.clear_table_cache()
     arith.prefix_sums(spec, 482_000)
     fresh = arith._table_cache[spec.key]
@@ -123,6 +123,28 @@ def test_growing_prefix_table_sweeps_only_new_entries(spec, monkeypatch):
     for name in ("values", "sums"):
         assert grown[name].dtype == fresh[name].dtype
         assert grown[name].tobytes() == fresh[name].tobytes()
+
+
+def test_shared_arrays_are_read_only():
+    # writing back the value already there leaves a writable cache intact
+    spec = specs.tau_m(2)
+    arith.clear_table_cache()
+    shared = (arith.primes_upto(100), arith.prefix_values(spec, 100), arith.prefix_sums(spec, 100))
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[12] = arr[12]
+    arith.clear_table_cache()
+
+
+def test_empty_prefix_table():
+    for name, spec in registry.base_specs().items():
+        arith.clear_table_cache()
+        assert arith.prefix_values(spec, 0).tolist() == [0], name
+        assert arith.prefix_sums(spec, 0).tolist() == [0], name
+        with pytest.raises(PreconditionError):
+            arith.prefix_values(spec, -1)
+        assert arith.prefix_values(spec, 12)[12] == arith.evaluate_point(spec, 12), name
+    arith.clear_table_cache()
 
 
 def test_sum_from_zero_grows_no_table_past_the_cap(monkeypatch):

@@ -10,33 +10,32 @@ from hyplab.cache import SegmentCache
 def test_roundtrip_int_and_float(tmp_path):
     cache = SegmentCache(str(tmp_path))
     ints = np.arange(10, 30, dtype=np.int64)
-    cache.store(specs.tau_m(2), "m", 5, 24, ints)
-    back = cache.load(specs.tau_m(2), "m", 5, 24)
+    cache.store(specs.tau_m(2), 5, 24, ints)
+    back = cache.load(specs.tau_m(2), 5, 24)
     assert back.dtype == np.int64 and np.array_equal(back, ints)
 
     floats = np.linspace(0.0, 1.0, 20)
-    cache.store(specs.log_pow(1), "l", 5, 24, floats)
-    back = cache.load(specs.log_pow(1), "l", 5, 24)
+    cache.store(specs.log_pow(1), 5, 24, floats)
+    back = cache.load(specs.log_pow(1), 5, 24)
     assert back.dtype == np.float64 and np.array_equal(back, floats)
 
 
 def test_miss_on_other_key(tmp_path):
     cache = SegmentCache(str(tmp_path))
-    cache.store(specs.tau_m(2), "m", 1, 8, np.ones(8, dtype=np.int64))
-    assert cache.load(specs.tau_m(2), "m", 1, 9) is None
-    assert cache.load(specs.tau_m(3), "m", 1, 8) is None
-    assert cache.load(specs.tau_m(2), "x", 1, 8) is None
+    cache.store(specs.tau_m(2), 1, 8, np.ones(8, dtype=np.int64))
+    assert cache.load(specs.tau_m(2), 1, 9) is None
+    assert cache.load(specs.tau_m(3), 1, 8) is None
 
 
 def test_corruption_detected(tmp_path):
     warn = io.StringIO()
     cache = SegmentCache(str(tmp_path), warn_stream=warn)
-    cache.store(specs.tau_m(2), "m", 1, 8, np.ones(8, dtype=np.int64))
+    cache.store(specs.tau_m(2), 1, 8, np.ones(8, dtype=np.int64))
     victim = next(tmp_path.iterdir())
     blob = bytearray(victim.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     victim.write_bytes(bytes(blob))
-    assert cache.load(specs.tau_m(2), "m", 1, 8) is None
+    assert cache.load(specs.tau_m(2), 1, 8) is None
     assert "invalid" in warn.getvalue()
     assert not victim.exists()  # bad entry is dropped
 
@@ -61,11 +60,11 @@ def test_other_version_not_loaded(tmp_path, monkeypatch):
     cache = SegmentCache(str(tmp_path), warn_stream=warn)
     current = cache_module._VERSION
     monkeypatch.setattr(cache_module, "_VERSION", current - 1)
-    cache.store(specs.tau_m(2), "m", 1, 8, np.ones(8, dtype=np.int64))
+    cache.store(specs.tau_m(2), 1, 8, np.ones(8, dtype=np.int64))
     old = next(tmp_path.iterdir())
     monkeypatch.setattr(cache_module, "_VERSION", current)
-    assert cache.load(specs.tau_m(2), "m", 1, 8) is None
+    assert cache.load(specs.tau_m(2), 1, 8) is None
     # the same bytes under the current file name fail the header check
-    old.rename(cache._path(specs.tau_m(2), "m", 1, 8))
-    assert cache.load(specs.tau_m(2), "m", 1, 8) is None
+    old.rename(cache._path(specs.tau_m(2), 1, 8))
+    assert cache.load(specs.tau_m(2), 1, 8) is None
     assert "invalid" in warn.getvalue()

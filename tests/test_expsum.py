@@ -120,3 +120,27 @@ def test_envelope_fit_constant_is_the_largest_ratio():
 def test_envelope_fit_rejects_empty_grid():
     with pytest.raises(PreconditionError):
         expsum.tau_proximity_envelope_fit([])
+
+
+def test_blocks_past_the_prefix_cap_are_windows(monkeypatch):
+    # a dyadic block (N, 2N] is read as a window: it builds no prefix table
+    # and is answered past PREFIX_WINDOW_MAX with the values below it
+    real = specs.convolve(specs.log_pow(1), specs.log_pow(1))
+    N, x, y, H = 4000, 100_000, 3000, 16
+
+    def blocks():
+        return (
+            [hyperbola.sawtooth_block_sum(f, N, x, y) for f in (specs.tau_m(2), real)],
+            expsum.truncated_fourier_split(specs.tau_m(3), N, x, y, H),
+            expsum.tau_proximity_sum(x + 3, N, H, 2),
+        )
+
+    arith.clear_table_cache()
+    want = blocks()
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 5000)
+    arith.clear_table_cache()
+    got = blocks()
+    built = dict(arith._table_cache)
+    arith.clear_table_cache()
+    assert got == want
+    assert built == {}

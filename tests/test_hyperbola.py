@@ -141,6 +141,19 @@ def test_real_valued_path_matches_brute():
     assert dec.total == pytest.approx(brute, rel=1e-11)
 
 
+def test_real_pair_parts_are_floats():
+    pairs = [(f, g) for _, f, g in registry.hyperbola_pairs()]
+    pairs += [(specs.tau_m(2), specs.log_pow(1)), (specs.log_pow(1), specs.tau_m(2))]
+    for f, g in pairs:
+        if f.integer_valued and g.integer_valued:
+            continue
+        # T = 100.5 gives a boundary term; at T = 102.0, (x+y)/T = 50 and it vanishes
+        for T in (100.5, 102.0):
+            dec = hyperbola.short_hyperbola(f, g, 5000, 100, T)
+            parts = (dec.term_d, dec.term_k, dec.boundary_term, dec.total)
+            assert [type(v) for v in parts] == [float] * 4, (f, g, T)
+
+
 def test_long_hyperbola_examples():
     assert hyperbola.long_hyperbola(specs.one(), specs.one(), 100, 10.0) == 482
     assert hyperbola.long_hyperbola(specs.mobius(), specs.one(), 50, 7.0) == 1

@@ -5,8 +5,16 @@ on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
 (exponent-only prime-power values) go through the vectorized multiplicative
 sieve over the primes p <= sqrt(hi): a strided slice per prime with many
 multiples in the window, the other primes as batches of (prime, multiple)
-pairs, and a scalar step per prime with at most one multiple.  ``log_pow`` is
-one numpy expression.  A real convolution runs one sweep over the pairs (d, j)
+pairs, and a scalar step per prime with at most one multiple.  Each prime
+power adds one int32 step to a signature code per multiple: in its high bits
+the counts c1 + 16 c2 + 256 c3 of the primes dividing n exactly once, twice
+and three times, in its low 12 bits a rounded log weight sum, sum of
+e round(8 log2 p), offset by a threshold per binade of n.  The weight tells,
+with a margin the rounding cannot cross, whether a prime above sqrt(hi) is
+left in n (the proof is at :func:`_mult_window_values`); where it is, the low
+bits carry one into c1.  So code >> 12 indexes a table of exact products
+L[1]^c1 L[2]^c2 L[3]^c3, and the rare exponents >= 4 are multiplied in after
+that one gather.  ``log_pow`` is one numpy expression.  A real convolution runs one sweep over the pairs (d, j)
 with dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j
 from high to low.
 
@@ -39,7 +47,8 @@ powers with the same numpy expression, so a real value does not depend on its
 route or on the window, cover or batch it is computed in, bit for bit.  Integer
 work is exact: the int64 fast paths carry bound guards and escalate to Python
 integers rather than wrap around.  An integer spec's arrays are int64 or object
-and a real spec's are float64, so a sum reads its exactness off the dtypes.
+(a table's running sums int32 while they stay below 2^30) and a real spec's
+are float64, so a sum reads its exactness off the dtypes.
 """
 
 from __future__ import annotations
@@ -238,80 +247,199 @@ def _local_table(spec: FuncSpec, bits: int) -> np.ndarray:
     return np.asarray(locals_, dtype=object)
 
 
+@functools.lru_cache(maxsize=256)
+def _signature_table(spec: FuncSpec, bits: int) -> np.ndarray:
+    """T[c1 + 16 c2 + 256 c3] = L[1]^c1 L[2]^c2 L[3]^c3, in ``_local_table``'s dtype.
+
+    c_e counts the primes that divide n exactly e times.  An entry whose
+    signature no n < 2^bits has stays zero (the least n of a signature puts
+    the cubes on the smallest primes, then the squares, then the first
+    powers), so every other entry is a value of the spec below 2^bits and an
+    int64 table cannot wrap.  No n < 2^63 has 16 prime factors, so
+    c1 + c2 + c3 <= 15 and each count fits its 4 bits.
+    """
+    dtype = _local_table(spec, bits).dtype
+    L = prime_power_locals(spec, 3)
+    small = primes_upto(64).tolist()
+    vals = {}
+    for c3 in range(16):
+        for c2 in range(16 - c3):
+            n = math.prod(small[:c3]) ** 3 * math.prod(small[c3 : c3 + c2]) ** 2
+            for c1 in range(16 - c3 - c2):
+                if n >> bits:
+                    break
+                vals[c1 + 16 * c2 + 256 * c3] = L[1] ** c1 * L[2] ** c2 * L[3] ** c3
+                n *= small[c3 + c2 + c1]
+    T = np.zeros(max(vals) + 1, dtype=dtype)
+    T[list(vals)] = list(vals.values())
+    return T
+
+
+_code_lock = threading.Lock()
+_prime_codes = np.empty(0, dtype=np.int32)
+
+
+def _first_power_codes(ps: np.ndarray) -> np.ndarray:
+    """4096 - lp(p), lp(p) = round(8 log2 p): the code step of a first power of p.
+
+    See _mult_window_values.  Cached beside the shared prime array: ``ps`` is
+    a prefix of it and every prefix lists the same primes, so one array,
+    grown on demand, serves all.
+    """
+    global _prime_codes
+    codes = _prime_codes
+    if codes.size < ps.size:
+        with _code_lock:
+            if _prime_codes.size < ps.size:
+                _prime_codes = 4096 - np.rint(8 * np.log2(ps)).astype(np.int32)
+                _prime_codes.flags.writeable = False
+            codes = _prime_codes
+    return codes[: ps.size]
+
+
+#: Steps of the counts c1 + 16 c2 + 256 c3 when the exponent of a prime
+#: reaches 1, 2, 3, 4 and more: the prime joins c1, moves up one count per
+#: power, and from the 4th power on is in none.
+_COUNT_STEP = (0, 1, 15, 240, -256, 0)
+#: The counts of one prime to the exact power min(e, 4).
+_COUNT = np.array([0, 1, 16, 256, 0], dtype=np.int32)
+
+
+def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[r] + t step[r] for 0 <= t < count[r], run after run."""
+    starts = np.cumsum(count) - count
+    return np.arange(int(starts[-1] + count[-1])) * np.repeat(step, count) + np.repeat(
+        first - starts * step, count
+    )
+
+
+def _add_deep(code, lo, pos, pv, inc, fix) -> None:
+    """Raise code[pos] from a first power of pv to its exact power, where pv^2 | lo + pos.
+
+    ``inc`` holds the first-power steps of pv (_first_power_codes).  The pairs
+    are few; an exponent >= 4 also goes on ``fix``.
+    """
+    r = (pos + lo) // (pv * pv)
+    e = np.full(pos.size, 2, dtype=np.int32)
+    cur = np.flatnonzero(r % pv == 0)
+    while cur.size:
+        r[cur] //= pv[cur]
+        e[cur] += 1
+        cur = cur[r[cur] % pv[cur] == 0]
+    np.add.at(code, pos, ((_COUNT[np.minimum(e, 4)] - 1) << 12) - (e - 1) * (4096 - inc))
+    deep = e >= 4
+    if deep.any():
+        fix.append((pos[deep], e[deep]))
+
+
 def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     """Values of an integer spec on [lo, hi], from the exponents of p <= sqrt(hi).
 
-    ``acc[i]`` collects the prime powers of lo + i found so far.  A prime with
-    many multiples in the window takes strided slices of multiples of p, p^2,
-    ..; the others are batched into (prime, multiple) pairs, at most _CONV_BLOCK
-    at a time; a prime p >= size has at most one multiple, and the few that
-    have one, picked out by one mask, stay scalar.
-    What remains of n once every p <= sqrt(hi) is out is one larger prime,
-    present exactly where acc != n.
+    One int32 array ``code`` describes each n = lo + i.  Its high bits count
+    the primes p <= sqrt(hi) that divide n exactly once, twice and three
+    times, c1 + 16 c2 + 256 c3 (no n < 2^63 has 16 prime factors, so each
+    count fits its 4 bits); its low 12 bits hold 4095 + t - W, with W the sum
+    of e lp(p) over those primes (lp(p) = round(8 log2 p)) and t the
+    threshold of n's binade below.  Each prime power p^k <= hi adds one step
+    to its multiples: _COUNT_STEP[k] << 12, less lp(p).  A prime with many
+    multiples in the window adds strided slices; the others are batched into
+    (prime, multiple) pairs, at most _CONV_BLOCK at a time, or, for p >= size,
+    stay scalar (one multiple each, picked by one mask); their exponents come
+    from divisions on the few pairs with p^2 | n.  Exponents >= 4 leave the
+    counts; they are kept per prime and multiplied in at the end.
+
+    What remains of n once every p <= sqrt(hi) is out is 1 or one prime
+    P > isqrt(hi), so P > sqrt(n) and the part m found is below sqrt(n).  Each
+    lp(p) is within 1/2 of 8 log2 p, so W is within Omega(m)/2 <= (log2 m)/2
+    of 8 log2 m: below 4 log2 n + (log2 n)/4 = 4.25 log2 n when P is left,
+    and at least 8 log2 n - (log2 n)/2 = 7.5 log2 n when nothing is.  On the
+    binade 2^k <= n < 2^(k+1) the threshold t = min(8k, 6k + 2) lies between
+    the two (for k >= 2; for k = 1 a leftover n = P has W = 0 while n = 2, 3
+    have W = 8, 13; n = 1 has W = 0 and t = 0).  So P is left exactly where
+    W < t, which is where the low bits carry into the counts:
+    code >> 12 = c1 + 16 c2 + 256 c3 + [P is left], P counting in c1.  The
+    values are one gather from ``_signature_table(spec, bits)`` at that
+    index.  The logs only choose the index: every value is a product of
+    exact table entries.
     """
     ps = primes_upto(math.isqrt(hi))  # refuses a sieve past the cap first
-    # at least one bit, so L[1] exists on the empty window [1, 0] too
-    L = _local_table(spec, max(int(hi).bit_length(), 1))
+    inc = _first_power_codes(ps)
+    # at least one bit, so the tables exist on the empty window [1, 0] too
+    bits = max(int(hi).bit_length(), 1)
     size = hi - lo + 1
-    out = np.ones(size, dtype=L.dtype)
-    acc = np.ones(size, dtype=np.int64)
-    # a prime with over 256 multiples pays its numpy calls back with slices
-    a, b = np.searchsorted(ps, [size // 256, size])
-    for p in ps[:a].tolist():
-        # e counts multiples of p, p^2, .. among the multiples of p: no division
-        first = (lo - 1) // p * p + p - lo
-        e = np.ones(len(range(first, size, p)), dtype=np.int8)
-        acc[first::p] *= p
-        q = p * p
-        while q <= hi:
-            m = (lo - 1) // q * q + q - lo
-            if m >= size:
-                break
-            e[(m - first) // p :: q // p] += 1
-            acc[m::q] *= p
+    code = np.empty(size, dtype=np.int32)
+    for k in range(int(lo).bit_length() - 1, bits):
+        code[max(lo, 1 << k) - lo : min(hi + 1, 2 << k) - lo] = 4095 + min(8 * k, 6 * k + 2)
+    fix = []  # (positions, exponents >= 4) to multiply in at the end
+    # a prime with over 256 multiples pays its numpy calls back with slices,
+    # and so do the primes below size when fewer than 32 of them would form
+    # a batch, whose numpy calls cost about as much as 32 slices
+    a, b = np.searchsorted(ps, [size // 256, size]).tolist()
+    if b - a < 32:
+        a = b
+    for p, c in zip(ps[:a].tolist(), inc[:a].tolist()):
+        q, k, w = p, 1, 4096 - c
+        # m indexes the first multiple of q = p^k; none is left once m >= size
+        while (m := -lo % q) < size:
+            v = code[m::q]
+            v += (_COUNT_STEP[min(k, 5)] << 12) - w  # in place on the view
+            if k == 4:
+                m4, q4 = m, q
+                e = np.full(len(range(m, size, q)), 4, dtype=np.int8)
+            elif k > 4:
+                e[(m - m4) // q4 :: q // q4] += 1
             q *= p
-        out[first::p] *= L[e]
+            k += 1
+        if k > 4:
+            fix.append((slice(m4, None, q4), e))
     mid = ps[a:b]
     if mid.size:
-        count = hi // mid - (lo - 1) // mid
+        first = -lo % mid
+        count = (size - 1 - first) // mid + 1
+        sq = mid * mid
+        first2 = -lo % sq
         ends = np.cumsum(count)
         i = 0
         while i < mid.size:
             base = ends[i] - count[i]
             j = max(int(np.searchsorted(ends, base + _CONV_BLOCK, side="right")), i + 1)
             c = count[i:j]
-            pv = np.repeat(mid[i:j], c)
-            k = np.arange(pv.size) - np.repeat(ends[i:j] - c - base, c)
-            idx = np.repeat((lo - 1) // mid[i:j] * mid[i:j] + mid[i:j] - lo, c) + k * pv
-            r = (idx + lo) // pv
-            e = np.ones(pv.size, dtype=np.int8)
-            pe = pv.copy()
-            cur = np.nonzero(r % pv == 0)[0]
-            while cur.size:
-                r[cur] //= pv[cur]
-                e[cur] += 1
-                pe[cur] *= pv[cur]
-                cur = cur[r[cur] % pv[cur] == 0]
-            # an n with several large factors repeats in idx; .at applies each
-            np.multiply.at(out, idx, L[e])
-            np.multiply.at(acc, idx, pe)
+            np.add.at(code, _runs(first[i:j], mid[i:j], c), np.repeat(inc[a + i : a + j], c))
+            d = np.flatnonzero(first2[i:j] < size) + i
+            if d.size:
+                c = (size - 1 - first2[d]) // sq[d] + 1
+                _add_deep(code, lo, _runs(first2[d], sq[d], c), np.repeat(mid[d], c),
+                          np.repeat(inc[a + d], c), fix)
             i = j
-        del pv, k, idx, r, e, pe, cur  # free the last batch before the final pass
-    # at most one multiple each, at hi - hi % p when that is >= lo; stay
-    # scalar on the primes that have one
+        del c, d  # free the last batch before the final pass
+    # at most one multiple each, at hi - hi % p when that is >= lo; the few
+    # primes that have one stay scalar
     large = ps[b:]
     rem = hi % large
-    hit = rem < size
-    for p, start in zip(large[hit].tolist(), (hi - rem[hit]).tolist()):
-        r, e, q = start // p, 1, p
+    hit = (rem < size).nonzero()[0]
+    for p, n, c in zip(large[hit].tolist(), (hi - rem[hit]).tolist(), inc[b + hit].tolist()):
+        r, e = n // p, 1
         while r % p == 0:
             r //= p
             e += 1
-            q *= p
-        acc[start - lo] *= q
-        out[start - lo] *= L[e]
-    big = acc != np.arange(lo, hi + 1, dtype=np.int64)
-    np.multiply(out, L[1], out=out, where=big)
+        if e > 1:
+            c = (int(_COUNT[min(e, 4)]) << 12) - e * (4096 - c)
+            if e >= 4:
+                fix.append(([n - lo], [e]))
+        code[n - lo] += c
+    np.right_shift(code, 12, out=code)
+    T = _signature_table(spec, bits)
+    # every index is in range; "clip" into a given array skips take()'s
+    # bounds pass and its int32-to-intp copy of the indices
+    out = T.take(code, out=np.empty(size, dtype=T.dtype), mode="clip")
+    if fix:
+        L = _local_table(spec, bits)
+        for at, e in fix:
+            if isinstance(at, slice):
+                out[at] *= L[e]
+            else:
+                # two primes with exponents >= 4 can share an n
+                np.multiply.at(out, at, L[e])
     return out
 
 
@@ -332,11 +460,16 @@ def clear_table_cache() -> None:
 def _running_sum(a: np.ndarray) -> np.ndarray:
     """The running sum of ``a``, as a new array.
 
-    An int64 sum that could reach the guard bound is taken in exact Python
-    integers instead, on an object copy of ``a``.
+    An integer sum is int32 while every partial sum stays below 2^30 (so a
+    difference of two fits as well), which halves a table's sums; int64 up
+    to the guard bound; past it, exact Python integers on an object copy.
     """
-    top = max(-int(a.min(initial=0)), int(a.max(initial=0))) if a.dtype.kind == "i" else 0
-    return np.cumsum(a.astype(object) if top * len(a) >= _INT64_SAFE else a)
+    if a.dtype.kind != "i":
+        return np.cumsum(a)
+    bound = max(-int(a.min(initial=0)), int(a.max(initial=0))) * len(a)
+    if bound >= _INT64_SAFE:
+        return np.cumsum(a.astype(object))
+    return np.cumsum(a, dtype=np.int32 if bound < 1 << 30 else np.int64)
 
 
 def _cover(spec, lo, hi, a, b, blk):
@@ -661,8 +794,8 @@ def _exact_int_sum(vals: np.ndarray) -> int:
 def _dot(a: np.ndarray, b: np.ndarray):
     """Sum of a[i] * b[i]: an exact int when both arrays hold integers, else a float.
 
-    An integer spec's tables and window sums are int64 or object arrays, a real
-    spec's are float64, so the dtypes say which sum is meant.
+    An integer spec's tables and window sums are integer or object arrays, a
+    real spec's are float64, so the dtypes say which sum is meant.
     """
     if a.dtype.kind == "f" or b.dtype.kind == "f":
         return float(np.sum(a.astype(np.float64) * b.astype(np.float64)))
@@ -690,8 +823,13 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     if y == 0:
         return 0 if spec.integer_valued else 0.0
     _choose_engine(spec, x + 1, x + y)  # refuses a window past the cap first
+    return _segment_sum(spec, x, y, lambda lo, hi: sieve_range(spec, lo, hi).values)
+
+
+def _segment_sum(spec: FuncSpec, x: int, y: int, values):
+    """Exact sum over (x, x+y] of ``values(lo, hi)``, segment by segment of SEGMENT_CAP."""
     segs = (
-        sieve_range(spec, lo, min(lo + SEGMENT_CAP - 1, x + y)).values
+        values(lo, min(lo + SEGMENT_CAP - 1, x + y))
         for lo in range(x + 1, x + y + 1, SEGMENT_CAP)
     )
     if spec.integer_valued:
@@ -700,15 +838,21 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
 
 
 def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
-    """Sums of b over the windows (x // v, top // v], one per entry of v."""
+    """Sums of b over the windows (x // v, top // v], one per entry of v.
+
+    Past ``PREFIX_WINDOW_MAX`` each window is summed on its own and bypasses
+    the segment cache: a leg has thousands of short windows, each used once.
+    """
     lo, hi = x // v, top // v
     if b.kind == "one":
         return hi - lo
     if top <= PREFIX_WINDOW_MAX:
         sums = prefix_sums(b, top)
         return sums[hi] - sums[lo]
+    _choose_engine(b, top, top)  # refuses a window past the cap first
     return np.array(
-        [short_sum_bruteforce(b, int(l), int(h - l)) for l, h in zip(lo, hi)],
+        [_segment_sum(b, l, h - l, lambda a, c: _range_values(b, a, c))
+         for l, h in zip(lo.tolist(), hi.tolist())],
         dtype=object if b.integer_valued else np.float64,
     )
 

@@ -13,6 +13,7 @@ expected behaviour and the tests enforce them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -155,7 +156,9 @@ def _add_global_flags(p: argparse.ArgumentParser, *, suppress: bool) -> None:
     p.add_argument("--config", default=d, help="flat key=value defaults file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="hyplab",
         description="exact short-interval sums of arithmetic functions",

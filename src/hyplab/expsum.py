@@ -25,7 +25,7 @@ import numpy as np
 from .arith import sieve_range
 from .asymptotics import hooley_mean_exponent
 from .errors import PreconditionError
-from .hyperbola import sawtooth_block_sum
+from .hyperbola import _sawtooth_sum
 from .specs import FuncSpec, tau_m
 
 __all__ = [
@@ -126,11 +126,12 @@ def truncated_fourier_split(
         raise PreconditionError(f"fourier split requires H >= 1, got {H}")
     if y == 0:
         return 0.0, 0.0
-    block = sawtooth_block_sum(f, N, x, y)
-    n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    fv = sieve_range(f, N + 1, 2 * N).values.astype(np.float64)
     if H * (x + y) > 2**62:
         raise PreconditionError("H (x+y) too large for exact angle reduction")
+    # one sieve of the block serves the exact block sum and the modes
+    n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    fv = sieve_range(f, N + 1, 2 * N).values.astype(np.float64)
+    block = _sawtooth_sum(fv, n_arr, x, y)
     total = 0.0
     for h in range(1, H + 1):
         ang_hi = _TWO_PI * ((h * (x + y)) % n_arr) / n_arr

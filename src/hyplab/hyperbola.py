@@ -159,8 +159,12 @@ def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:
         )
     if y == 0:
         return 0.0
-    n_arr = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    fv = arith.sieve_range(f, N + 1, 2 * N).values
+    fv = arith.sieve_range(f, N + 1, 2 * N).values.astype(np.float64)
+    return _sawtooth_sum(fv, np.arange(N + 1, 2 * N + 1, dtype=np.int64), x, y)
+
+
+def _sawtooth_sum(fv: np.ndarray, n_arr: np.ndarray, x: int, y: int) -> float:
+    """Sum of fv (psi((x+y)/n) - psi(x/n)) over n in ``n_arr``, fv as float64."""
     frac_hi = ((x + y) % n_arr) / n_arr
     frac_lo = (x % n_arr) / n_arr
-    return float(np.sum(fv.astype(np.float64) * (frac_hi - frac_lo)))
+    return float(np.sum(fv * (frac_hi - frac_lo)))

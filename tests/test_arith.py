@@ -13,7 +13,7 @@ from conftest import (
     brute_mobius,
     brute_tau_m,
 )
-from hyplab import arith, registry, specs
+from hyplab import arith, hyperbola, registry, specs
 from hyplab.errors import InvalidSpecError, PreconditionError, SegmentCapError
 
 
@@ -467,3 +467,19 @@ def test_int64_escalation_paths():
     assert sums.dtype == object
     assert int(sums[-1]) == 8 * (1 << 61)
     assert arith._exact_int_sum(vals) == 8 * (1 << 61)
+
+
+def test_running_sums_take_the_narrowest_exact_type():
+    # int32 while every partial sum stays below 2^30, so a difference of two
+    # fits too; int64 above that, up to the guard bound
+    small = arith._running_sum(np.array([0] + [-7, 3] * 500, dtype=np.int64))
+    assert small.dtype == np.int32 and int(small[-1]) == -2000
+    big = arith._running_sum(np.full(1024, 1 << 20, dtype=np.int64))
+    assert big.dtype == np.int64 and int(big[-1]) == 1 << 30
+    # a hyperbola leg differences int32 sums and stays exact
+    arith.clear_table_cache()
+    assert arith.prefix_sums(specs.tau_m(2), 50_000).dtype == np.int32
+    f, g = specs.mobius(), specs.tau_m(2)
+    dec = hyperbola.short_hyperbola(f, g, 40_000, 300, 400)
+    arith.clear_table_cache()
+    assert dec.total == arith.short_sum_bruteforce(specs.convolve(f, g), 40_000, 300)

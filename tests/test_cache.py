@@ -1,8 +1,9 @@
+import contextlib
 import io
 
 import numpy as np
 
-from hyplab import arith, specs
+from hyplab import arith, cli, specs
 from hyplab import cache as cache_module
 from hyplab.cache import SegmentCache
 
@@ -68,3 +69,23 @@ def test_other_version_not_loaded(tmp_path, monkeypatch):
     old.rename(cache._path(specs.tau_m(2), 1, 8))
     assert cache.load(specs.tau_m(2), 1, 8) is None
     assert "invalid" in warn.getvalue()
+
+
+def test_hyperbola_legs_store_no_segments(tmp_path, monkeypatch):
+    # past the prefix cap each leg window is summed on its own; storing each
+    # one wrote thousands of one-use files per run
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 5000)
+    argv = "shortsum --function tau_k --k 3 --x 200000 --y 600 --method hyperbola --T 700"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main([*argv.split(), "--cache-dir", str(tmp_path)]) == 0
+    finally:
+        arith.set_segment_cache(None)
+        arith.clear_table_cache()
+    # T = 700 puts the one integer 286 in (x/T, (x+y)/T]: its boundary
+    # window (700, 701] is the only segment stored
+    assert len(list(tmp_path.iterdir())) == 1
+    plain = io.StringIO()
+    with contextlib.redirect_stdout(plain):
+        assert cli.main(argv.split()) == 0
+    assert out.getvalue() == plain.getvalue()

@@ -295,3 +295,12 @@ def test_shortsum_refuses_inadmissible_window_before_summing(monkeypatch):
     monkeypatch.setattr(hyperbola, "short_hyperbola", never)
     argv = "shortsum --function tau_k --k 3 --x 10000000000 --y 10000 --method hyperbola"
     assert cli.main(argv.split()) == 3
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["delta", "--n", "12", "--r", "2"]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("n,r,value")

@@ -58,6 +58,22 @@ def test_fourier_split_reconciles():
             assert integral + remainder == pytest.approx(sigma, abs=1e-9)
 
 
+def test_fourier_split_sieves_its_block_once(monkeypatch):
+    swept = []
+    range_values = arith._range_values
+
+    def spy(spec, lo, hi):
+        swept.append((lo, hi))
+        return range_values(spec, lo, hi)
+
+    monkeypatch.setattr(arith, "_range_values", spy)
+    f, N, x, y = specs.tau_m(3), 4096, 4 * 4096, 1000
+    integral, remainder = expsum.truncated_fourier_split(f, N, x, y, 4)
+    assert swept == [(N + 1, 2 * N)]
+    # the remainder is taken from the exact block sum, bit for bit
+    assert remainder == hyperbola.sawtooth_block_sum(f, N, x, y) - integral
+
+
 def test_fourier_split_proof_choice_of_modes():
     N, x, y = 128, 10_000, 30
     H = 4 * (N // y)

@@ -100,6 +100,21 @@ def _windows(draw):
 @example(spec=specs.tau_m(4), window=((1 << 36) - 2000, (1 << 36) + 2095, ((1 << 36) - 1000,)))
 @example(spec=specs.tau_m(40), window=((1 << 30) + 1, (1 << 30) + 800, ()))
 @example(spec=specs.dirichlet_inverse(specs.tau_m(3)), window=(10**12, 10**12 + 40, ()))
+# exponents >= 4 leave the signature counts and are multiplied in at the end:
+# 3^20 in the strided branch (3 < size // 256), 211^4 among the batched pairs
+# of a 1000-entry window, 101^4 in the scalar branch (101 >= size), and the
+# exact-int fix-ups of tau_40 on batched pairs
+@example(spec=specs.tau_m(3), window=(3**20 - 600, 3**20 + 423, (3**20,)))
+@example(spec=specs.tau_m(4), window=(211**4 - 500, 211**4 + 499, ()))
+@example(spec=specs.tau_m(3), window=(101**4 - 1, 101**4 + 1, ()))
+@example(spec=specs.tau_m(40), window=(3**20 - 300, 3**20 + 300, (3**20 + 1,)))
+# n = 100003 * 99991: 100003 is the first prime above isqrt(hi) = 99996 and
+# the part found, 99991, is as close to sqrt(n) as a leftover allows
+@example(spec=specs.tau_m(3), window=(9999399970, 9999399976, ()))
+# a prefix whose pieces cross several powers of two
+@example(spec=specs.tau_m(3), window=(1, 5000, (3, 100, 1025)))
+# 2 3 5 .. 37 has 12 distinct prime factors
+@example(spec=specs.tau_m(3), window=(7420738134810 - 2, 7420738134810 + 2, ()))
 def test_engine1_matches_points(spec, window):
     lo, hi, cuts = window
     vals = arith.sieve_range(spec, lo, hi).values
@@ -138,3 +153,16 @@ def test_engine1_peak_memory():
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak <= 32 * size
+
+
+def test_engine1_every_short_window_and_prefix():
+    # the signature index, the binade thresholds of the leftover test and the
+    # branch cut-offs all move with lo and hi: cover every small case
+    spec = specs.tau_m(3)
+    want = [0] + [arith.evaluate_point(spec, n) for n in range(1, 5001)]
+    sieve = arith._mult_window_values
+    for hi in range(1, 5001):
+        for lo in range(max(1, hi - 7), hi + 1):
+            assert sieve(spec, lo, hi).tolist() == want[lo : hi + 1], (lo, hi)
+    for N in range(1, 2001):
+        assert sieve(spec, 1, N).tolist() == want[1 : N + 1], N

@@ -14,9 +14,9 @@ with a margin the rounding cannot cross, whether a prime above sqrt(hi) is
 left in n (the proof is at :func:`_mult_window_values`); where it is, the low
 bits carry one into c1.  So code >> 12 indexes a table of exact products
 L[1]^c1 L[2]^c2 L[3]^c3, and the rare exponents >= 4 are multiplied in after
-that one gather.  ``log_pow`` is one numpy expression.  A real convolution runs one sweep over the pairs (d, j)
-with dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j
-from high to low.
+that one gather.  ``log_pow`` is one numpy expression.  A real convolution
+runs one sweep over the pairs (d, j) with dj in the window: d <= sqrt(hi)
+first, then the larger d by cofactor j from high to low.
 
 Three rules place the work of a convolution.  The route rule: a window is
 computed on its own, so a window (x, x+y] costs about y + sqrt(x) work at any
@@ -275,7 +275,6 @@ def _signature_table(spec: FuncSpec, bits: int) -> np.ndarray:
     return T
 
 
-_code_lock = threading.Lock()
 _prime_codes = np.empty(0, dtype=np.int32)
 
 
@@ -289,7 +288,7 @@ def _first_power_codes(ps: np.ndarray) -> np.ndarray:
     global _prime_codes
     codes = _prime_codes
     if codes.size < ps.size:
-        with _code_lock:
+        with _prime_lock:
             if _prime_codes.size < ps.size:
                 _prime_codes = 4096 - np.rint(8 * np.log2(ps)).astype(np.int32)
                 _prime_codes.flags.writeable = False

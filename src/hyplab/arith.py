@@ -341,7 +341,8 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     of e lp(p) over those primes (lp(p) = round(8 log2 p)) and t the
     threshold of n's binade below.  Each prime power p^k <= hi adds one step
     to its multiples: _COUNT_STEP[k] << 12, less lp(p).  A prime with many
-    multiples in the window adds strided slices; the others are batched into
+    multiples in the window adds strided slices (so do all p < size when
+    fewer than 32 of them would be batched); the others are batched into
     (prime, multiple) pairs, at most _CONV_BLOCK at a time, or, for p >= size,
     stay scalar (one multiple each, picked by one mask); their exponents come
     from divisions on the few pairs with p^2 | n.  Exponents >= 4 leave the

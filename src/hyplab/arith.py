@@ -14,9 +14,10 @@ with a margin the rounding cannot cross, whether a prime above sqrt(hi) is
 left in n (the proof is at :func:`_mult_window_values`); where it is, the low
 bits carry one into c1.  So code >> 12 indexes a table of exact products
 L[1]^c1 L[2]^c2 L[3]^c3, and the rare exponents >= 4 are multiplied in after
-that one gather.  ``log_pow`` is one numpy expression.  A real convolution
-runs one sweep over the pairs (d, j) with dj in the window: d <= sqrt(hi)
-first, then the larger d by cofactor j from high to low.
+that one gather.  A leaf, ``one`` or ``log_pow``, is one numpy expression
+at any points.  A real convolution runs one sweep over the pairs (d, j) with
+dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j from
+high to low.
 
 Three rules place the work of a convolution.  The route rule: a window is
 computed on its own, so a window (x, x+y] costs about y + sqrt(x) work at any
@@ -34,16 +35,16 @@ the gathered points.  The cover
 rule: a far block of n child windows evaluates its child once, on the cover of
 those windows, when the cover has at most n isqrt(hi // D0) entries (the cost
 of n child sweeps) and at most max(2 _CONV_BLOCK, y) for a window of y
-entries.  A ``log_pow`` child takes no cover: its expression is evaluated at
-the gathered points themselves.  Any other child recurses on its windows, one
+entries.  A leaf child takes no cover: its expression is evaluated at the
+gathered points themselves.  Any other child recurses on its windows, one
 per run of consecutive points.  A cover is freed when its block is done, so at
 most one is alive per sweep loop and per recursion level, each of at most
 max(2 _CONV_BLOCK, y) entries.
 
 The point route evaluates one argument from its factorization.  Every route
 adds a convolution's terms in increasing d over its first factor
-(``np.add.at`` applies a repeated index in array order) and computes log
-powers with the same numpy expression, so a real value does not depend on its
+(``np.add.at`` applies a repeated index in array order) and takes leaf
+values from the same numpy expression, so a real value does not depend on its
 route or on the window, cover or batch it is computed in, bit for bit.  Integer
 work is exact: the int64 fast paths carry bound guards and escalate to Python
 integers rather than wrap around.  An integer spec's arrays are int64 or object
@@ -54,6 +55,7 @@ are float64, so a sum reads its exactness off the dtypes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -202,12 +204,12 @@ class ValueTable:
         return int(v) if self.spec.integer_valued else v
 
 
-# optional on-disk segment cache, installed by the CLI
+# optional on-disk cache of window sums, installed by the CLI
 _segment_cache = None
 
 
 def set_segment_cache(cache) -> None:
-    """Install (or clear, with None) an on-disk cache consulted by sieve_range."""
+    """Install (or clear, with None) the disk cache of short_sum_bruteforce's sums."""
     global _segment_cache
     _segment_cache = cache
 
@@ -472,6 +474,19 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, dtype=np.int32 if bound < 1 << 30 else np.int64)
 
 
+_LEAVES = ("one", "log_pow")
+
+
+def _leaf_values(spec: FuncSpec, t) -> np.ndarray:
+    """A leaf (``one`` or ``log_pow``) at the points ``t``, an int array or a range."""
+    if spec.kind == "one":
+        return np.ones(len(t), dtype=np.int64)
+    # the float points are a temporary, freed once their log is taken
+    return np.log(
+        np.arange(t.start, t.stop, dtype=np.float64) if isinstance(t, range) else t.astype(np.float64)
+    ) ** spec.param
+
+
 def _cover(spec, lo, hi, a, b, blk):
     """The child ``spec`` on [a, b], the cover of one block's child windows, or None.
 
@@ -479,11 +494,11 @@ def _cover(spec, lo, hi, a, b, blk):
     window [lo, hi]; their child windows lie inside [a, b].  The child is
     evaluated once on that cover when the cover has no more entries than the
     block's child sweeps cost, len(blk) isqrt(hi // D0), and no more than
-    max(2 _CONV_BLOCK, hi - lo + 1).  A ``log_pow`` leaf takes no cover: one
-    numpy expression at the gathered points costs less.
+    max(2 _CONV_BLOCK, hi - lo + 1).  A leaf takes no cover: one numpy
+    expression at the gathered points costs less.
     """
     D0 = 1 << (int(blk[0]).bit_length() - 1)
-    if spec.kind == "log_pow" or b - a + 1 > min(
+    if spec.kind in _LEAVES or b - a + 1 > min(
         len(blk) * math.isqrt(hi // D0), max(2 * _CONV_BLOCK, hi - lo + 1)
     ):
         return None
@@ -494,9 +509,8 @@ def _child_at(spec, t, cover, a):
     """The child ``spec`` at the points ``t``, from its cover on [a, ..] if any."""
     if cover is not None:
         return cover[t - a]
-    if spec.kind == "log_pow":
-        # the window engine's expression, at exactly these points
-        return np.log(t.astype(np.float64)) ** spec.param
+    if spec.kind in _LEAVES:
+        return _leaf_values(spec, t)
     # each run of consecutive points is one child window
     cut = np.flatnonzero(np.diff(t) != 1) + 1
     firsts, lasts = t[np.r_[0, cut]].tolist(), t[np.r_[cut - 1, t.size - 1]].tolist()
@@ -507,7 +521,7 @@ def _add_pairs(out, lo, hi, rows, coef, t0, t1, child) -> None:
     """Add coef[i] child(t) into out[rows[i] t - lo] for t0[i] <= t <= t1[i].
 
     The rows go in order, by dyadic blocks with one cover each (_cover); a
-    ``log_pow`` child takes no cover, so its rows form one block.  The
+    leaf child takes no cover, so its rows form one block.  The
     (row, t) pairs of a block go in batches of at most _CONV_BLOCK, cut from
     one cumsum of the row counts.  np.add.at applies a repeated index in
     array order, so every out[n] adds its terms in the order of the rows.
@@ -517,7 +531,7 @@ def _add_pairs(out, lo, hi, rows, coef, t0, t1, child) -> None:
     if not rows.size:
         return
     bounds = [0, rows.size]
-    if child.kind != "log_pow":
+    if child.kind not in _LEAVES:
         bounds[1:1] = (np.flatnonzero(np.diff(np.frexp(rows)[1])) + 1).tolist()
     for u, v in zip(bounds, bounds[1:]):
         r, c, t, n = rows[u:v], coef[u:v], t0[u:v], count[u:v]
@@ -596,12 +610,10 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     values at them from covers, log expressions or this recursion (_far_sweep).
     """
     kind = spec.kind
-    if kind == "one":
-        return np.ones(hi - lo + 1, dtype=np.int64)
+    if kind in _LEAVES:
+        return _leaf_values(spec, range(lo, hi + 1))
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
-    if kind == "log_pow":
-        return np.log(np.arange(lo, hi + 1, dtype=np.float64)) ** spec.param
     if kind == "pointwise":
         f, g = spec.children
         return _real_values(f, lo, hi) * _real_values(g, lo, hi)
@@ -712,8 +724,7 @@ def _eval_fac(spec: FuncSpec, n: int, fac: list[tuple[int, int]]):
         return out
     kind = spec.kind
     if kind == "log_pow":
-        # the window engine's expression: math.log and numpy's log differ
-        return float((np.log(np.array([n], dtype=np.float64)) ** spec.param)[0])
+        return _leaf_values(spec, range(n, n + 1))[0].item()
     if kind == "pointwise":
         return _eval_fac(spec.children[0], n, fac) * _eval_fac(spec.children[1], n, fac)
     if kind == "convolve":
@@ -772,14 +783,7 @@ def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
             f"window of {hi - lo + 1} entries exceeds the segment cap {SEGMENT_CAP}"
         )
     _choose_engine(spec, lo, hi)  # refuses a far window past the cap first
-    if _segment_cache is not None:
-        cached = _segment_cache.load(spec, lo, hi)
-        if cached is not None:
-            return ValueTable(spec, lo, hi, cached)
-    vals = _range_values(spec, lo, hi)
-    if _segment_cache is not None and vals.dtype != object:
-        _segment_cache.store(spec, lo, hi, vals)
-    return ValueTable(spec, lo, hi, vals)
+    return ValueTable(spec, lo, hi, _range_values(spec, lo, hi))
 
 
 def _exact_int_sum(vals: np.ndarray) -> int:
@@ -814,7 +818,8 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     prefix table is read or built.  Windows wider than the segment cap are
     processed as consecutive segments; the reduction is exact on the integer
     path and grouping-independent (one global compensated sum) on the real
-    path, so the result does not depend on the cap.
+    path, so the result does not depend on the cap.  An installed disk cache
+    (:func:`set_segment_cache`) answers a repeat call.
     """
     if x < 0 or y < 0:
         raise PreconditionError(f"short sum requires x >= 0 and y >= 0, got {x}, {y}")
@@ -823,7 +828,13 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     if y == 0:
         return 0 if spec.integer_valued else 0.0
     _choose_engine(spec, x + 1, x + y)  # refuses a window past the cap first
-    return _segment_sum(spec, x, y, lambda lo, hi: sieve_range(spec, lo, hi).values)
+    cache = _segment_cache
+    total = None if cache is None else cache.load(spec, x, y)
+    if total is None:
+        total = _segment_sum(spec, x, y, lambda lo, hi: sieve_range(spec, lo, hi).values)
+        if cache is not None:
+            cache.store(spec, x, y, total)
+    return total
 
 
 def _segment_sum(spec: FuncSpec, x: int, y: int, values):
@@ -834,14 +845,14 @@ def _segment_sum(spec: FuncSpec, x: int, y: int, values):
     )
     if spec.integer_valued:
         return sum(_exact_int_sum(v) for v in segs)
-    return math.fsum(v for seg in segs for v in seg.tolist())
+    return math.fsum(itertools.chain.from_iterable(segs))
 
 
 def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
     """Sums of b over the windows (x // v, top // v], one per entry of v.
 
-    Past ``PREFIX_WINDOW_MAX`` each window is summed on its own and bypasses
-    the segment cache: a leg has thousands of short windows, each used once.
+    Past ``PREFIX_WINDOW_MAX`` each window is summed on its own and its sum is
+    not cached: a leg has thousands of short windows, each used once.
     """
     lo, hi = x // v, top // v
     if b.kind == "one":

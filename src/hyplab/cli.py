@@ -227,8 +227,10 @@ def _resolve_globals(args) -> None:
         raise PreconditionError("--threads must be positive")
     if not (0.0 < args.epsilon <= 0.5):
         raise PreconditionError("--epsilon must lie in (0, 1/2]")
-    if args.cache_dir:
-        arith.set_segment_cache(SegmentCache(args.cache_dir))
+    try:  # each run installs its own cache, or none
+        arith.set_segment_cache(SegmentCache(args.cache_dir) if args.cache_dir else None)
+    except OSError as exc:
+        raise _UsageError(f"cache directory {args.cache_dir!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,23 @@ def test_far_sweep_peak_memory():
     assert peak <= 16 * y + (2 << 20)
 
 
+def test_real_sum_peak_memory():
+    # a real window sum feeds math.fsum from the window array: no Python
+    # list of the window (32 bytes an entry on top of its 8) is built
+    spec = specs.lambda_k(1)
+    x, y = 10_000_000, 1 << 18
+    want = arith.short_sum_bruteforce(spec, x, y)  # warm the caches
+    tracemalloc.start()
+    try:
+        got = arith.short_sum_bruteforce(spec, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want.hex()
+    assert got == math.fsum(arith.sieve_range(spec, x + 1, x + y).values.tolist())
+    assert peak <= 16 * y + (2 << 20)
+
+
 def test_window_below_cap_builds_no_table():
     # a window ending below PREFIX_WINDOW_MAX costs y + sqrt(x), like a far
     # one: it reads no prefix table, so no table of x entries is built

@@ -304,3 +304,32 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert capsys.readouterr().out.startswith("{")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.startswith("n,r,value")
+
+
+def test_each_run_installs_its_own_cache(tmp_path, monkeypatch, capsys):
+    # a run without --cache-dir must not write into an earlier run's directory
+    monkeypatch.delenv("HYPLAB_CACHE_DIR", raising=False)
+    first = ["shortsum", "--function", "tau_k", "--k", "2", "--x", "1000", "--y", "50"]
+    second = ["shortsum", "--function", "tau_k", "--k", "2", "--x", "2000", "--y", "50"]
+    try:
+        assert cli.main([*first, "--cache-dir", str(tmp_path)]) == 0
+        assert len(list(tmp_path.iterdir())) == 1
+        assert cli.main(second) == 0
+    finally:
+        arith.set_segment_cache(None)
+    assert len(list(tmp_path.iterdir())) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-file"])
+def test_unusable_cache_dir_is_usage_error(where, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "sub" if where == "under-a-file" else blocker
+    argv = ["shortsum", "--function", "tau_k", "--k", "2", "--x", "1000", "--y", "50"]
+    try:
+        assert cli.main([*argv, "--cache-dir", str(path)]) == 2
+    finally:
+        arith.set_segment_cache(None)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("hyplab: usage: cache directory")

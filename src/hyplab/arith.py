@@ -483,7 +483,9 @@ def _leaf_values(spec: FuncSpec, t) -> np.ndarray:
         return np.ones(len(t), dtype=np.int64)
     # the float points are a temporary, freed once their log is taken
     return np.log(
-        np.arange(t.start, t.stop, dtype=np.float64) if isinstance(t, range) else t.astype(np.float64)
+        np.arange(t.start, t.stop, dtype=np.float64)
+        if isinstance(t, range)
+        else t.astype(np.float64)
     ) ** spec.param
 
 

@@ -1,23 +1,25 @@
 """Exact evaluation of arithmetic functions, pointwise and on integer ranges.
 
 Every route evaluates the normal form :func:`hyplab.specs.base_form`.  Values
-on a range [lo, hi] come from one recursion over the spec tree.  Integer specs
+on integer ranges come from one recursion over the spec tree, and each engine
+of it takes a batch of windows [lo[i], hi[i]] (two int64 arrays) and returns
+their values concatenated; a single window is a batch of one.  Integer specs
 (exponent-only prime-power values) go through the vectorized multiplicative
-sieve over the primes p <= sqrt(hi): a strided slice per prime with many
-multiples in the window, the other primes as batches of (prime, multiple)
-pairs, and a scalar step per prime with at most one multiple.  Each prime
-power adds one int32 step to a signature code per multiple: in its high bits
-the counts c1 + 16 c2 + 256 c3 of the primes dividing n exactly once, twice
-and three times, in its low 12 bits a rounded log weight sum, sum of
-e round(8 log2 p), offset by a threshold per binade of n.  The weight tells,
-with a margin the rounding cannot cross, whether a prime above sqrt(hi) is
-left in n (the proof is at :func:`_mult_window_values`); where it is, the low
-bits carry one into c1.  So code >> 12 indexes a table of exact products
-L[1]^c1 L[2]^c2 L[3]^c3, and the rare exponents >= 4 are multiplied in after
-that one gather.  A leaf, ``one`` or ``log_pow``, is one numpy expression
-at any points.  A real convolution runs one sweep over the pairs (d, j) with
-dj in the window: d <= sqrt(hi) first, then the larger d by cofactor j from
-high to low.
+sieve over the primes p <= sqrt(hi) of each window, in two branches: a
+strided slice of a window per prime with many multiples in it, and every
+other (window, prime) cell in chunks, whose (window, prime, multiple) pairs
+are added in batches.  Each prime power adds one int32 step to a signature
+code per multiple: in its high bits the counts c1 + 16 c2 + 256 c3 of the
+primes dividing n exactly once, twice and three times, in its low 12 bits a
+rounded log weight sum, sum of e round(8 log2 p), offset by a threshold per
+binade of n.  The weight tells, with a margin the rounding cannot cross,
+whether a prime above sqrt(hi) is left in n (the proof is at
+:func:`_mult_window_values`); where it is, the low bits carry one into c1.
+So code >> 12 indexes a table of exact products L[1]^c1 L[2]^c2 L[3]^c3,
+and the rare exponents >= 4 are multiplied in after that one gather.  A
+leaf, ``one`` or ``log_pow``, is one numpy expression at any points.  A real
+convolution runs one sweep over the pairs (d, j) with dj in the window:
+d <= sqrt(hi) first, then the larger d by cofactor j from high to low.
 
 Three rules place the work of a convolution.  The route rule: a window is
 computed on its own, so a window (x, x+y] costs about y + sqrt(x) work at any
@@ -25,31 +27,35 @@ x; a spec's cached prefix table [1, N] answers prefix requests only
 (:func:`prefix_values`, :func:`prefix_sums` and the hyperbola legs).  A table
 that must grow is built again, in one piece, at twice its size up to
 ``PREFIX_WINDOW_MAX``.  No table is built past that cap: a request past it
-raises ``SegmentCapError`` before anything is allocated.  The shape rule: on a
-window at least as long as its offset (2 (lo - 1) <= hi, as every prefix table
-and dyadic block (N, 2N] is) the children are evaluated once as arrays from 1
-and the sweep takes a strided slice per d and per j; a far window gathers its
-pairs by dyadic blocks of d and of j, [D0, 2 D0), and adds each batch of at
-most _CONV_BLOCK pairs with one ``np.add.at``, with the child values taken at
-the gathered points.  The cover
-rule: a far block of n child windows evaluates its child once, on the cover of
-those windows, when the cover has at most n isqrt(hi // D0) entries (the cost
-of n child sweeps) and at most max(2 _CONV_BLOCK, y) for a window of y
-entries.  A leaf child takes no cover: its expression is evaluated at the
-gathered points themselves.  Any other child recurses on its windows, one
-per run of consecutive points.  A cover is freed when its block is done, so at
-most one is alive per sweep loop and per recursion level, each of at most
-max(2 _CONV_BLOCK, y) entries.
+raises ``SegmentCapError`` before anything is allocated; past it the legs
+sum their windows in batches.  The shape rule: on a window at least as long
+as its offset (2 (lo - 1) <= hi, as every prefix table and dyadic block
+(N, 2N] is) the children are evaluated once as arrays from 1 and the sweep
+takes a strided slice per d and per j.  The far windows of a batch are swept
+together: their rows (d and j) go d-major over all of them, in groups of at
+most _CONV_BLOCK rows, so each dyadic block of rows, [D0, 2 D0), serves the
+child windows of every window of the group; its pairs are added in batches
+of at most _CONV_BLOCK with one ``np.add.at`` each, with the child values
+taken at the gathered points.  The cover rule: a far block of n child
+windows evaluates its child once, on the cover of those windows, when the
+cover has at most n isqrt(hi // D0) entries (the cost of n child sweeps)
+and at most max(2 _CONV_BLOCK, y) for windows of y entries.  A leaf child
+takes no cover: its expression is evaluated at the gathered points
+themselves.  Any other child recurses once per batch of pairs, on the batch
+of its runs of consecutive points.  A cover is freed when its block is done,
+so at most one is alive per sweep loop and per recursion level, each of at
+most max(2 _CONV_BLOCK, y) entries.
 
 The point route evaluates one argument from its factorization.  Every route
 adds a convolution's terms in increasing d over its first factor
 (``np.add.at`` applies a repeated index in array order) and takes leaf
 values from the same numpy expression, so a real value does not depend on its
-route or on the window, cover or batch it is computed in, bit for bit.  Integer
-work is exact: the int64 fast paths carry bound guards and escalate to Python
-integers rather than wrap around.  An integer spec's arrays are int64 or object
-(a table's running sums int32 while they stay below 2^30) and a real spec's
-are float64, so a sum reads its exactness off the dtypes.
+route or on the window, cover or batch of windows it is computed in, bit for
+bit.  Integer work is exact: the int64 fast paths carry bound guards and
+escalate to Python integers rather than wrap around.  An integer spec's
+arrays are int64 or object (a table's running sums int32 while they stay
+below 2^30) and a real spec's are float64, so a sum reads its exactness off
+the dtypes.
 """
 
 from __future__ import annotations
@@ -102,9 +108,10 @@ PREFIX_WINDOW_MAX = 4_000_000
 #: int64 accumulation guard; sums proven below this stay on the numpy path.
 _INT64_SAFE = 1 << 62
 
-#: Entries per chunk of the near convolution sweep, (d, j) pairs per batch of
-#: the far sweep and (prime, multiple) pairs per batch of the window sieve;
-#: bounds the temporaries of all three.
+#: Entries per chunk of the near convolution sweep; rows per group of far
+#: windows and (d, j) pairs per batch of the far sweep; (window, prime) cells
+#: per chunk and (window, prime, multiple) pairs per batch of the window
+#: sieve; entries per batch of leg windows.  Bounds the temporaries of all.
 _CONV_BLOCK = 1 << 14
 
 
@@ -304,23 +311,70 @@ def _first_power_codes(ps: np.ndarray) -> np.ndarray:
 _COUNT_STEP = (0, 1, 15, 240, -256, 0)
 #: The counts of one prime to the exact power min(e, 4).
 _COUNT = np.array([0, 1, 16, 256, 0], dtype=np.int32)
+#: 4095 + min(8k, 6k + 2): the code of an n in the binade 2^k <= n < 2^(k+1)
+#: before any prime steps in.
+_THRESHOLD = np.array([4095 + min(8 * k, 6 * k + 2) for k in range(64)], dtype=np.int32)
 
 
-def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+def _span(lo: int, hi: int):
+    """The one window [lo, hi] as the (lo, hi) arrays of a batch."""
+    return np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64)
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """math.isqrt of each entry of the int64 array a, 0 <= a < 2^52.
+
+    The rounded root of an exact float is at least the integer root and at
+    most one above it.
+    """
+    r = np.sqrt(a).astype(np.int64)
+    return r - (r * r > a)
+
+
+def _runs(first, step, count) -> np.ndarray:
     """first[r] + t step[r] for 0 <= t < count[r], run after run."""
     starts = np.cumsum(count) - count
-    return np.arange(int(starts[-1] + count[-1])) * np.repeat(step, count) + np.repeat(
+    return np.arange(int(count.sum())) * np.repeat(step, count) + np.repeat(
         first - starts * step, count
     )
 
 
-def _add_deep(code, lo, pos, pv, inc, fix) -> None:
-    """Raise code[pos] from a first power of pv to its exact power, where pv^2 | lo + pos.
+def _chunks(count, first, block):
+    """(i, first[i] + t) for 0 <= t < count[i], row after row.
+
+    The items come in chunks of at most ``block``; a row may span two chunks.
+    """
+    ends = np.cumsum(count)
+    shift = first - (ends - count)
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, block):
+        e = min(s + block, total)
+        if e - s == total:  # one chunk: every row whole
+            i = np.repeat(np.arange(count.size), count)
+        else:
+            a, b = np.searchsorted(ends, [s, e - 1], side="right").tolist()
+            c = np.minimum(ends[a : b + 1], e) - np.maximum(ends[a : b + 1] - count[a : b + 1], s)
+            i = np.repeat(np.arange(a, b + 1), c)
+        yield i, np.arange(s, e) + shift[i]
+
+
+def _groups(count, block):
+    """Slices of consecutive rows with at most ``block`` items in all, or one row."""
+    ends = np.cumsum(count)
+    i = 0
+    while i < count.size:
+        j = max(int(np.searchsorted(ends, ends[i] - count[i] + block, side="right")), i + 1)
+        yield slice(i, j)
+        i = j
+
+
+def _add_deep(code, pos, n, pv, inc, fix) -> None:
+    """Raise code[pos] from a first power of pv to its exact power, where pv^2 | n.
 
     ``inc`` holds the first-power steps of pv (_first_power_codes).  The pairs
     are few; an exponent >= 4 also goes on ``fix``.
     """
-    r = (pos + lo) // (pv * pv)
+    r = n // (pv * pv)
     e = np.full(pos.size, 2, dtype=np.int32)
     cur = np.flatnonzero(r % pv == 0)
     while cur.size:
@@ -333,22 +387,24 @@ def _add_deep(code, lo, pos, pv, inc, fix) -> None:
         fix.append((pos[deep], e[deep]))
 
 
-def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    """Values of an integer spec on [lo, hi], from the exponents of p <= sqrt(hi).
+def _mult_window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values of an integer spec on the windows [lo[i], hi[i]], concatenated.
 
-    One int32 array ``code`` describes each n = lo + i.  Its high bits count
-    the primes p <= sqrt(hi) that divide n exactly once, twice and three
+    One int32 array ``code`` describes each n of each window.  Its high bits
+    count the primes p <= sqrt(hi) that divide n exactly once, twice and three
     times, c1 + 16 c2 + 256 c3 (no n < 2^63 has 16 prime factors, so each
     count fits its 4 bits); its low 12 bits hold 4095 + t - W, with W the sum
     of e lp(p) over those primes (lp(p) = round(8 log2 p)) and t the
     threshold of n's binade below.  Each prime power p^k <= hi adds one step
-    to its multiples: _COUNT_STEP[k] << 12, less lp(p).  A prime with many
-    multiples in the window adds strided slices (so do all p < size when
-    fewer than 32 of them would be batched); the others are batched into
-    (prime, multiple) pairs, at most _CONV_BLOCK at a time, or, for p >= size,
-    stay scalar (one multiple each, picked by one mask); their exponents come
-    from divisions on the few pairs with p^2 | n.  Exponents >= 4 leave the
-    counts; they are kept per prime and multiplied in at the end.
+    to its multiples: _COUNT_STEP[k] << 12, less lp(p).  Two branches place
+    the steps.  A prime with over 256 multiples in a window adds strided
+    slices of that window.  Every other prime p <= sqrt(hi) of each window is
+    one (window, prime) cell; the cells go in chunks of at most _CONV_BLOCK,
+    a mask keeps those with a multiple in their window, and their (window,
+    prime, multiple) pairs go in batches of at most _CONV_BLOCK with one
+    ``np.add.at`` each.  The exponents come from divisions on the few pairs
+    with p^2 | n.  Exponents >= 4 leave the counts; they are kept per prime
+    and multiplied in at the end.
 
     What remains of n once every p <= sqrt(hi) is out is 1 or one prime
     P > isqrt(hi), so P > sqrt(n) and the part m found is below sqrt(n).  Each
@@ -361,79 +417,80 @@ def _mult_window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
     W < t, which is where the low bits carry into the counts:
     code >> 12 = c1 + 16 c2 + 256 c3 + [P is left], P counting in c1.  The
     values are one gather from ``_signature_table(spec, bits)`` at that
-    index.  The logs only choose the index: every value is a product of
-    exact table entries.
+    index, with bits the length of the largest hi.  The logs only choose the
+    index: every value is a product of exact table entries, so it does not
+    depend on the batch it is computed in.
     """
-    ps = primes_upto(math.isqrt(hi))  # refuses a sieve past the cap first
+    top = int(hi.max())
+    ps = primes_upto(math.isqrt(top))  # refuses a sieve past the cap first
     inc = _first_power_codes(ps)
     # at least one bit, so the tables exist on the empty window [1, 0] too
-    bits = max(int(hi).bit_length(), 1)
+    bits = max(top.bit_length(), 1)
     size = hi - lo + 1
-    code = np.empty(size, dtype=np.int32)
-    for k in range(int(lo).bit_length() - 1, bits):
-        code[max(lo, 1 << k) - lo : min(hi + 1, 2 << k) - lo] = 4095 + min(8 * k, 6 * k + 2)
+    off = np.cumsum(size) - size
+    # one run of thresholds per window and binade 2^k <= n < 2^(k+1) in it;
+    # n < 2^49, so a float exponent is exact
+    k0 = np.frexp(lo)[1] - 1
+    runs = np.maximum(np.frexp(hi)[1] - k0, 0)
+    i = np.repeat(np.arange(lo.size), runs)
+    k = np.arange(i.size) + np.repeat(k0 - (np.cumsum(runs) - runs), runs)
+    code = _THRESHOLD[k].repeat(np.minimum(hi[i] + 1, 2 << k) - np.maximum(lo[i], 1 << k))
     fix = []  # (positions, exponents >= 4) to multiply in at the end
-    # a prime with over 256 multiples pays its numpy calls back with slices,
-    # and so do the primes below size when fewer than 32 of them would form
-    # a batch, whose numpy calls cost about as much as 32 slices
-    a, b = np.searchsorted(ps, [size // 256, size]).tolist()
-    if b - a < 32:
-        a = b
-    for p, c in zip(ps[:a].tolist(), inc[:a].tolist()):
-        q, k, w = p, 1, 4096 - c
-        # m indexes the first multiple of q = p^k; none is left once m >= size
-        while (m := -lo % q) < size:
-            v = code[m::q]
-            v += (_COUNT_STEP[min(k, 5)] << 12) - w  # in place on the view
-            if k == 4:
-                m4, q4 = m, q
-                e = np.full(len(range(m, size, q)), 4, dtype=np.int8)
-            elif k > 4:
-                e[(m - m4) // q4 :: q // q4] += 1
-            q *= p
-            k += 1
-        if k > 4:
-            fix.append((slice(m4, None, q4), e))
-    mid = ps[a:b]
-    if mid.size:
-        first = -lo % mid
-        count = (size - 1 - first) // mid + 1
-        sq = mid * mid
-        first2 = -lo % sq
-        ends = np.cumsum(count)
-        i = 0
-        while i < mid.size:
-            base = ends[i] - count[i]
-            j = max(int(np.searchsorted(ends, base + _CONV_BLOCK, side="right")), i + 1)
-            c = count[i:j]
-            np.add.at(code, _runs(first[i:j], mid[i:j], c), np.repeat(inc[a + i : a + j], c))
-            d = np.flatnonzero(first2[i:j] < size) + i
-            if d.size:
-                c = (size - 1 - first2[d]) // sq[d] + 1
-                _add_deep(code, lo, _runs(first2[d], sq[d], c), np.repeat(mid[d], c),
-                          np.repeat(inc[a + d], c), fix)
-            i = j
-        del c, d  # free the last batch before the final pass
-    # at most one multiple each, at hi - hi % p when that is >= lo; the few
-    # primes that have one stay scalar
-    large = ps[b:]
-    rem = hi % large
-    hit = (rem < size).nonzero()[0]
-    for p, n, c in zip(large[hit].tolist(), (hi - rem[hit]).tolist(), inc[b + hit].tolist()):
-        r, e = n // p, 1
-        while r % p == 0:
-            r //= p
-            e += 1
-        if e > 1:
-            c = (int(_COUNT[min(e, 4)]) << 12) - e * (4096 - c)
-            if e >= 4:
-                fix.append(([n - lo], [e]))
-        code[n - lo] += c
+    # window i sieves the primes ps[:last[i]]; a prime with over 256
+    # multiples there pays its numpy calls back with slices, and so do the
+    # primes below the window sizes when the batch holds fewer than 32 of
+    # them, whose cells cost about as much as 32 slices
+    last = np.searchsorted(ps, _isqrt(hi), side="right")
+    strided, below = np.minimum(np.searchsorted(ps, [size // 256, size]), last)
+    if (below - strided).sum() < 32:
+        strided = below
+    for i in np.flatnonzero(strided).tolist():
+        o, m0, s = int(off[i]), int(lo[i]), int(size[i])
+        window = code[o : o + s]
+        for p, c in zip(ps[: strided[i]].tolist(), inc[: strided[i]].tolist()):
+            q, k, w = p, 1, 4096 - c
+            # m indexes the first multiple of q = p^k; none is left once m >= s
+            while (m := -m0 % q) < s:
+                v = window[m::q]
+                v += (_COUNT_STEP[min(k, 5)] << 12) - w  # in place on the view
+                if k == 4:
+                    m4, q4 = m, q
+                    e = np.full(len(range(m, s, q)), 4, dtype=np.int8)
+                elif k > 4:
+                    e[(m - m4) // q4 :: q // q4] += 1
+                q *= p
+                k += 1
+            if k > 4:
+                fix.append((slice(o + m4, o + s, q4), e))
+    for i, j in _chunks(last - strided, strided, _CONV_BLOCK):
+        # cells (window i, prime ps[j]); keep those with a multiple in window i
+        p = ps[j]
+        first = -lo[i] % p
+        hit = np.flatnonzero(first < size[i])
+        i, p, first, step = i[hit], p[hit], first[hit], inc[j[hit]]
+        count = (size[i] - 1 - first) // p + 1
+        at = off[i] + first
+        for g in _groups(count, _CONV_BLOCK):
+            np.add.at(code, _runs(at[g], p[g], count[g]), np.repeat(step[g], count[g]))
+        # the exponents from the multiples of p^2
+        sq = p * p
+        first = -lo[i] % sq
+        d = np.flatnonzero(first < size[i])
+        if not d.size:
+            continue
+        i, p, sq, first, step = i[d], p[d], sq[d], first[d], step[d]
+        count = (size[i] - 1 - first) // sq + 1
+        at, shift = off[i] + first, lo[i] - off[i]
+        for g in _groups(count, _CONV_BLOCK):
+            c = count[g]
+            pos = _runs(at[g], sq[g], c)
+            _add_deep(code, pos, pos + np.repeat(shift[g], c), np.repeat(p[g], c),
+                      np.repeat(step[g], c), fix)
     np.right_shift(code, 12, out=code)
     T = _signature_table(spec, bits)
     # every index is in range; "clip" into a given array skips take()'s
     # bounds pass and its int32-to-intp copy of the indices
-    out = T.take(code, out=np.empty(size, dtype=T.dtype), mode="clip")
+    out = T.take(code, out=np.empty(code.size, dtype=T.dtype), mode="clip")
     if fix:
         L = _local_table(spec, bits)
         for at, e in fix:
@@ -477,34 +534,44 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 _LEAVES = ("one", "log_pow")
 
 
-def _leaf_values(spec: FuncSpec, t) -> np.ndarray:
-    """A leaf (``one`` or ``log_pow``) at the points ``t``, an int array or a range."""
+def _points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of the windows [lo[i], hi[i]], window after window."""
+    size = hi - lo + 1
+    a = int(lo[0])
+    t = np.arange(a, a + int(size.sum()), dtype=np.int64)
+    # a window that starts where the one before it ends needs no shift
+    shift = lo - lo[0] - (np.cumsum(size) - size)
+    if shift.any():
+        t += np.repeat(shift, size)
+    return t
+
+
+def _leaf_values(spec: FuncSpec, t: np.ndarray) -> np.ndarray:
+    """A leaf (``one`` or ``log_pow``) at the integer points ``t``."""
     if spec.kind == "one":
         return np.ones(len(t), dtype=np.int64)
-    # the float points are a temporary, freed once their log is taken
-    return np.log(
-        np.arange(t.start, t.stop, dtype=np.float64)
-        if isinstance(t, range)
-        else t.astype(np.float64)
-    ) ** spec.param
+    v = np.log(t)
+    v **= spec.param  # in place: the same values as v ** param, one array less
+    return v
 
 
-def _cover(spec, lo, hi, a, b, blk):
+def _cover(spec, hi, y, a, b, blk):
     """The child ``spec`` on [a, b], the cover of one block's child windows, or None.
 
-    ``blk`` holds the rows (d or j) of one dyadic block [D0, 2 D0) of the far
-    window [lo, hi]; their child windows lie inside [a, b].  The child is
-    evaluated once on that cover when the cover has no more entries than the
-    block's child sweeps cost, len(blk) isqrt(hi // D0), and no more than
-    max(2 _CONV_BLOCK, hi - lo + 1).  A leaf takes no cover: one numpy
-    expression at the gathered points costs less.
+    ``blk`` holds the rows (d or j) of one dyadic block [D0, 2 D0) of far
+    windows that end at or below ``hi`` and hold ``y`` entries in all; their
+    child windows lie inside [a, b].  The child is evaluated once on that
+    cover when the cover has no more entries than the block's child sweeps
+    cost, len(blk) isqrt(hi // D0), and no more than max(2 _CONV_BLOCK, y).
+    A leaf takes no cover: one numpy expression at the gathered points costs
+    less.
     """
     D0 = 1 << (int(blk[0]).bit_length() - 1)
     if spec.kind in _LEAVES or b - a + 1 > min(
-        len(blk) * math.isqrt(hi // D0), max(2 * _CONV_BLOCK, hi - lo + 1)
+        len(blk) * math.isqrt(hi // D0), max(2 * _CONV_BLOCK, y)
     ):
         return None
-    return _real_values(spec, a, b)
+    return _real_values(spec, *_span(a, b))
 
 
 def _child_at(spec, t, cover, a):
@@ -513,59 +580,71 @@ def _child_at(spec, t, cover, a):
         return cover[t - a]
     if spec.kind in _LEAVES:
         return _leaf_values(spec, t)
-    # each run of consecutive points is one child window
+    # each run of consecutive points is one child window of one batch
     cut = np.flatnonzero(np.diff(t) != 1) + 1
-    firsts, lasts = t[np.r_[0, cut]].tolist(), t[np.r_[cut - 1, t.size - 1]].tolist()
-    return np.concatenate([_real_values(spec, u, v) for u, v in zip(firsts, lasts)])
+    return _real_values(spec, t[np.r_[0, cut]], t[np.r_[cut - 1, t.size - 1]])
 
 
-def _add_pairs(out, lo, hi, rows, coef, t0, t1, child) -> None:
-    """Add coef[i] child(t) into out[rows[i] t - lo] for t0[i] <= t <= t1[i].
+def _add_pairs(out, rows, coef, t0, t1, base, child, hi, y) -> None:
+    """Add coef[i] child(t) into out[base[i] + rows[i] t] for t0[i] <= t <= t1[i].
 
     The rows go in order, by dyadic blocks with one cover each (_cover); a
-    leaf child takes no cover, so its rows form one block.  The
-    (row, t) pairs of a block go in batches of at most _CONV_BLOCK, cut from
-    one cumsum of the row counts.  np.add.at applies a repeated index in
-    array order, so every out[n] adds its terms in the order of the rows.
+    leaf child takes no cover, so its rows form one block.  The (row, t)
+    pairs of a block go in batches of at most _CONV_BLOCK.  np.add.at applies
+    a repeated index in array order, so every out[n] adds its terms in the
+    order of the rows.  ``hi`` and ``y`` are the largest end and the entries
+    of the windows that ``out`` holds.
     """
     keep = (coef != 0) & (t0 <= t1)
-    rows, coef, t0, count = rows[keep], coef[keep], t0[keep], (t1 - t0 + 1)[keep]
+    count = (t1 - t0 + 1)[keep]
+    rows, coef, t0, base = rows[keep], coef[keep], t0[keep], base[keep]
     if not rows.size:
         return
     bounds = [0, rows.size]
     if child.kind not in _LEAVES:
         bounds[1:1] = (np.flatnonzero(np.diff(np.frexp(rows)[1])) + 1).tolist()
     for u, v in zip(bounds, bounds[1:]):
-        r, c, t, n = rows[u:v], coef[u:v], t0[u:v], count[u:v]
+        r, c, t, b, n = rows[u:v], coef[u:v], t0[u:v], base[u:v], count[u:v]
         a = int(t.min())
-        cover = _cover(child, lo, hi, a, int((t + n).max()) - 1, r)
-        ends = np.cumsum(n)
-        shift = t + n - ends  # pair p of row i is t = p + shift[i]
-        for s in range(0, int(ends[-1]), _CONV_BLOCK):
-            p = np.arange(s, min(s + _CONV_BLOCK, int(ends[-1])))
-            i = np.searchsorted(ends, p, side="right")
-            p += shift[i]
-            np.add.at(out, r[i] * p - lo, c[i] * _child_at(child, p, cover, a))
-        del cover, p, i  # at most one cover per loop and recursion level
+        cover = _cover(child, hi, y, a, int((t + n).max()) - 1, r)
+        for i, p in _chunks(n, t, _CONV_BLOCK):
+            np.add.at(out, b[i] + r[i] * p, c[i] * _child_at(child, p, cover, a))
+        del cover  # at most one cover per loop and recursion level
 
 
-def _far_sweep(out, lo, hi, f, g) -> None:
-    """Add the values of f * g on the far window [lo, hi] into the zeroed ``out``.
+def _rows(count: np.ndarray):
+    """(i, v) for 1 <= v <= count[i], in increasing v: the rows of all windows, v-major."""
+    order = np.argsort(-count, kind="stable")
+    c = -count[order]
+    per = np.searchsorted(c, -np.arange(1, 1 - c[0]), side="right")
+    v = np.repeat(np.arange(1, 1 - c[0]), per)
+    return order[np.arange(v.size) - np.repeat(np.cumsum(per) - per, per)], v
 
-    A far window is shorter than its offset, 2 (lo - 1) > hi.  Its pairs
-    (d, j) with dj in [lo, hi] go d-major over d <= sqrt(hi), then by
-    descending cofactor j over the larger d (for a fixed n, a larger j is a
-    smaller d), so every out[n] adds f(d) g(n/d) in increasing d as the other
-    routes do (_add_pairs).
+
+def _far_sweep(out, lo, hi, base, f, g) -> None:
+    """Add the values of f * g on the far windows [lo[i], hi[i]] into the zeroed ``out``.
+
+    Window i is at out[base[i] + n].  A far window is shorter than its
+    offset, 2 (lo - 1) > hi.  Its pairs (d, j) with dj in [lo, hi] go d-major
+    over d <= sqrt(hi), then by descending cofactor j over the larger d (for a
+    fixed n, a larger j is a smaller d), so every value adds f(d) g(n/d) in
+    increasing d as the other routes do (_add_pairs).  The windows go in
+    groups of at most _CONV_BLOCK rows, and the rows of a group go d-major
+    (and j-major) over all its windows, so one dyadic block of d (or j)
+    serves the child windows of all of them.
     """
-    S = math.isqrt(hi)
-    ds = np.arange(1, S + 1)
-    _add_pairs(out, lo, hi, ds, _real_values(f, 1, S), (lo - 1) // ds + 1, hi // ds, g)
+    S = _isqrt(hi)
     J = hi // (S + 1)
-    if J:
-        js = np.arange(J, 0, -1)
-        t0 = np.maximum((lo - 1) // js, S) + 1
-        _add_pairs(out, lo, hi, js, _real_values(g, 1, J)[::-1], t0, hi // js, f)
+    fv = _real_values(f, *_span(1, int(S.max())))
+    gv = _real_values(g, *_span(1, int(J.max())))
+    for grp in _groups(S + J, _CONV_BLOCK):
+        a, b, at, s = lo[grp], hi[grp], base[grp], S[grp]
+        top, y = int(b.max()), int((b - a + 1).sum())
+        i, d = _rows(s)
+        _add_pairs(out, d, fv[d - 1], (a[i] - 1) // d + 1, b[i] // d, at[i], g, top, y)
+        i, j = (r[::-1] for r in _rows(J[grp]))
+        t0 = np.maximum((a[i] - 1) // j, s[i]) + 1
+        _add_pairs(out, j, gv[j - 1], t0, b[i] // j, at[i], f, top, y)
 
 
 def _conv_sweep(out, lo, hi, fv, gv) -> None:
@@ -602,18 +681,20 @@ def _conv_prefix_values(fv: np.ndarray, gv: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    """Values of a base-form spec on [lo, hi].
+def _window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values of a base-form spec on the windows [lo[i], hi[i]], concatenated.
 
-    A convolution on a window at least as long as its offset (2 (lo - 1) <= hi:
-    a prefix table or a dyadic block) evaluates each child once on [1, hi], at
-    most about twice the window, and sweeps slices of those arrays
-    (_conv_sweep); a far window batches its (d, j) pairs and takes the child
-    values at them from covers, log expressions or this recursion (_far_sweep).
+    Windows may overlap; each gets its own values.  A convolution on a window
+    at least as long as its offset (2 (lo - 1) <= hi: a prefix table or a
+    dyadic block) evaluates each child once on [1, hi], at most about twice
+    the window, and sweeps slices of those arrays (_conv_sweep).  The far
+    windows of a batch are swept together: their (d, j) pairs go in batches,
+    with the child values taken from covers, log expressions or this
+    recursion on one batch of child windows (_far_sweep).
     """
     kind = spec.kind
     if kind in _LEAVES:
-        return _leaf_values(spec, range(lo, hi + 1))
+        return _leaf_values(spec, _points(lo, hi))
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
     if kind == "pointwise":
@@ -623,22 +704,30 @@ def _window_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
         raise InvalidSpecError(f"no window engine for spec kind {kind!r}")
     f, g = spec.children
     # integer convolutions have prime-power locals, so this one is real
-    out = np.zeros(hi - lo + 1, dtype=np.float64)
-    if 2 * (lo - 1) <= hi:
-        _conv_sweep(out, lo, hi, _real_values(f, 1, hi), _real_values(g, 1, hi))
-    else:
-        _far_sweep(out, lo, hi, f, g)
+    size = hi - lo + 1
+    base = np.cumsum(size) - size - lo  # window i is at out[base[i] + n]
+    out = np.zeros(int(size.sum()), dtype=np.float64)
+    near = lo - 1 <= size  # 2 (lo - 1) <= hi, without overflow
+    for i in np.flatnonzero(near).tolist():
+        a, b = int(lo[i]), int(hi[i])
+        fv = _real_values(f, *_span(1, b))
+        # a square f * f evaluates its factor once
+        gv = fv if g == f else _real_values(g, *_span(1, b))
+        _conv_sweep(out[a + base[i] : b + base[i] + 1], a, b, fv, gv)
+    if not near.all():
+        far = ~near
+        _far_sweep(out, lo[far], hi[far], base[far], f, g)
     return out
 
 
-def _real_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
+def _real_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A child of a real node: exact big-int values become floats, as at a point."""
     v = _window_values(spec, lo, hi)
     return v.astype(np.float64) if v.dtype == object else v
 
 
 def _range_values(spec: FuncSpec, lo: int, hi: int) -> np.ndarray:
-    return _window_values(base_form(spec), lo, hi)
+    return _window_values(base_form(spec), *_span(lo, hi))
 
 
 def _prefix_entry(spec: FuncSpec, N: int) -> dict:
@@ -726,7 +815,7 @@ def _eval_fac(spec: FuncSpec, n: int, fac: list[tuple[int, int]]):
         return out
     kind = spec.kind
     if kind == "log_pow":
-        return _leaf_values(spec, range(n, n + 1))[0].item()
+        return _leaf_values(spec, np.array([n]))[0].item()
     if kind == "pointwise":
         return _eval_fac(spec.children[0], n, fac) * _eval_fac(spec.children[1], n, fac)
     if kind == "convolve":
@@ -788,13 +877,11 @@ def sieve_range(spec: FuncSpec, lo: int, hi: int) -> ValueTable:
     return ValueTable(spec, lo, hi, _range_values(spec, lo, hi))
 
 
-def _exact_int_sum(vals: np.ndarray) -> int:
-    if vals.dtype == object:
-        return int(sum(vals))
-    bound = int(np.abs(vals).max(initial=0)) * len(vals)
-    if bound < _INT64_SAFE:
-        return int(np.sum(vals, dtype=np.int64))
-    return sum(int(v) for v in vals)
+def _exact_int_sums(vals: np.ndarray, starts) -> list:
+    """Exact sums of vals[starts[i] : starts[i + 1]] (the last to the end), as ints."""
+    if vals.dtype == object or int(np.abs(vals).max(initial=0)) * len(vals) >= _INT64_SAFE:
+        vals = vals.astype(object)
+    return np.add.reduceat(vals, starts).tolist()
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -833,28 +920,28 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     cache = _segment_cache
     total = None if cache is None else cache.load(spec, x, y)
     if total is None:
-        total = _segment_sum(spec, x, y, lambda lo, hi: sieve_range(spec, lo, hi).values)
+        segs = (
+            sieve_range(spec, lo, min(lo + SEGMENT_CAP - 1, x + y)).values
+            for lo in range(x + 1, x + y + 1, SEGMENT_CAP)
+        )
+        if spec.integer_valued:
+            total = sum(_exact_int_sums(v, [0])[0] for v in segs)
+        else:
+            total = math.fsum(itertools.chain.from_iterable(segs))
         if cache is not None:
             cache.store(spec, x, y, total)
     return total
 
 
-def _segment_sum(spec: FuncSpec, x: int, y: int, values):
-    """Exact sum over (x, x+y] of ``values(lo, hi)``, segment by segment of SEGMENT_CAP."""
-    segs = (
-        values(lo, min(lo + SEGMENT_CAP - 1, x + y))
-        for lo in range(x + 1, x + y + 1, SEGMENT_CAP)
-    )
-    if spec.integer_valued:
-        return sum(_exact_int_sum(v) for v in segs)
-    return math.fsum(itertools.chain.from_iterable(segs))
-
-
 def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
     """Sums of b over the windows (x // v, top // v], one per entry of v.
 
-    Past ``PREFIX_WINDOW_MAX`` each window is summed on its own and its sum is
-    not cached: a leg has thousands of short windows, each used once.
+    Up to ``PREFIX_WINDOW_MAX`` they are differences of b's prefix table.
+    Past it the windows, cut into pieces of at most ``SEGMENT_CAP`` entries
+    as short_sum_bruteforce cuts a window, go through the engines in batches
+    (_piece_sums), and the sums are not cached: a leg has thousands of short
+    windows, each used once.  An integer sum is exact, and a real one is one
+    ``math.fsum`` over its window's values, so no sum depends on its batch.
     """
     lo, hi = x // v, top // v
     if b.kind == "one":
@@ -863,11 +950,35 @@ def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
         sums = prefix_sums(b, top)
         return sums[hi] - sums[lo]
     _choose_engine(b, top, top)  # refuses a window past the cap first
-    return np.array(
-        [_segment_sum(b, l, h - l, lambda a, c: _range_values(b, a, c))
-         for l, h in zip(lo.tolist(), hi.tolist())],
-        dtype=object if b.integer_valued else np.float64,
-    )
+    w = np.flatnonzero(hi > lo)
+    n = (hi[w] - lo[w] - 1) // SEGMENT_CAP + 1  # pieces per window
+    a = _runs(lo[w] + 1, np.full(w.size, SEGMENT_CAP), n)
+    parts = _piece_sums(base_form(b), a, a + np.minimum(np.repeat(hi[w], n) - a, SEGMENT_CAP - 1))
+    if b.integer_valued:
+        out = np.zeros(v.size, dtype=object)
+        out[w] = np.add.reduceat(np.fromiter(parts, object, a.size), np.cumsum(n) - n)
+        return out
+    out = np.zeros(v.size)
+    chain, islice = itertools.chain.from_iterable, itertools.islice
+    out[w] = [math.fsum(chain(islice(parts, k))) for k in n.tolist()]
+    return out
+
+
+def _piece_sums(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray):
+    """Window by window: the exact sum of an integer spec, the values of a real one.
+
+    One engine call per batch of consecutive windows [lo[i], hi[i]] with at
+    most max(_CONV_BLOCK, one window) entries, so a batch holds one long
+    window or many short ones.
+    """
+    size = hi - lo + 1
+    for grp in _groups(size, _CONV_BLOCK):
+        vals = _window_values(spec, lo[grp], hi[grp])
+        starts = np.cumsum(size[grp]) - size[grp]
+        if vals.dtype.kind == "f":
+            yield from np.split(vals, starts[1:])
+        else:
+            yield from _exact_int_sums(vals, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,9 @@ def test_far_window_pointwise_engine(monkeypatch):
 def test_far_window_covers(monkeypatch):
     # a cor8(1) verify row: one child window per d and per cofactor j made
     # 65880 recursion calls, and per-block covers still 14394, most of them
-    # tiny log windows; batched pairs take log leaves at their points, so
-    # the row makes a few hundred, and no cover outgrows max(2 _CONV_BLOCK, y)
+    # tiny log windows; batched pairs take log leaves at their points, and
+    # the uncovered child windows of a block go as one batch, so the row
+    # makes 41, and no cover outgrows max(2 _CONV_BLOCK, y)
     spec = registry.make_entry("cor8_log_k", 1).F_spec
     x, y = 5234567, 1100
     calls, covers = [0], []
@@ -242,10 +243,56 @@ def test_far_window_covers(monkeypatch):
     monkeypatch.setattr(arith, "_window_values", count)
     monkeypatch.setattr(arith, "_cover", spy)
     vals = arith.sieve_range(spec, x + 1, x + y).values
-    assert calls[0] < 1_000
+    assert calls[0] <= 45
     assert covers and max(covers) <= max(2 * arith._CONV_BLOCK, y)
     for n in range(x + 1, x + y + 1, 97):
         assert vals[n - x - 1] == arith.evaluate_point(spec, n)
+
+
+def test_far_row_batches_engine1_windows(monkeypatch):
+    # a cor7 verify row sieved one child window per run of points: 133
+    # engine-1 calls, all on one window; now each block's windows go as one
+    # batch, and only the coefficient window, the covers and the one-row
+    # block j = 1 are batches of one
+    spec = registry.make_entry("cor7_lambda_g").F_spec
+    x, y = 7_925_783, 1100
+    calls = []
+    sieve = arith._mult_window_values
+
+    def spy(s, lo, hi):
+        calls.append(lo.size)
+        return sieve(s, lo, hi)
+
+    monkeypatch.setattr(arith, "_mult_window_values", spy)
+    vals = arith.sieve_range(spec, x + 1, x + y).values
+    assert len(calls) <= 15 and calls.count(1) <= 10 and sum(calls) == 133
+    for n in range(x + 1, x + y + 1, 97):
+        assert vals[n - x - 1] == arith.evaluate_point(spec, n)
+
+
+@pytest.mark.parametrize("b", [specs.tau_m(2), specs.lambda_k(1)], ids=str)
+def test_window_sums_past_the_cap_are_batched(b, monkeypatch):
+    # past PREFIX_WINDOW_MAX the leg windows go through the engines in
+    # batches; every sum equals the window's own short_sum_bruteforce, and
+    # the windows of v > 1000 hold one entry or none
+    x, top = 2_000_000, 2_001_000
+    v = np.arange(1, 1201)
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 100_000)
+    want = [arith.short_sum_bruteforce(b, x // k, top // k - x // k) for k in v.tolist()]
+    arith._window_sums(b, x, top, v)  # warm the caches
+    tracemalloc.start()
+    try:
+        got = arith._window_sums(b, x, top, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = int((top // v - x // v).sum())
+    assert peak <= 16 * entries + (2 << 20)
+    if b.integer_valued:
+        assert got.dtype == object and got.tolist() == want
+        assert all(type(s) is int for s in got.tolist())
+    else:
+        assert [s.hex() for s in got.tolist()] == [s.hex() for s in want]
 
 
 def test_far_sweep_peak_memory():
@@ -483,7 +530,7 @@ def test_int64_escalation_paths():
     sums = arith._running_sum(vals.copy())
     assert sums.dtype == object
     assert int(sums[-1]) == 8 * (1 << 61)
-    assert arith._exact_int_sum(vals) == 8 * (1 << 61)
+    assert arith._exact_int_sums(vals, [0, 5]) == [5 << 61, 3 << 61]
 
 
 def test_running_sums_take_the_narrowest_exact_type():

@@ -11,6 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+import numpy as np  # noqa: E402
 
 from hyplab import arith, specs  # noqa: E402
 from test_specs import assert_value_domain  # noqa: E402
@@ -123,3 +124,54 @@ def test_log_leaf_sweeps_agree(spec, lo, y, data):
     assert far == arith.prefix_values(spec, hi)[lo : hi + 1].tolist()
     sample = data.draw(st.lists(st.integers(lo, hi), max_size=12))
     assert [far[n - lo] for n in sample] == [arith.evaluate_point(spec, n) for n in sample]
+
+
+@st.composite
+def _windows(draw, top, near):
+    """A batch of windows in [2, top]: 1-entry, adjacent, overlapping, across 2^k."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        if out and draw(st.booleans()):
+            a, b = out[-1]
+            # next to the last window, or overlapping it
+            lo = draw(st.sampled_from([b + 1, draw(st.integers(a, b))]))
+        elif draw(st.booleans()):
+            lo = draw(st.integers(2, top))
+        else:
+            lo = max(2, draw(st.sampled_from(near)) + draw(st.integers(-40, 40)))
+        out.append((lo, lo + draw(st.sampled_from([0, 0, 1, 2, 7, 40]))))
+    return out
+
+
+def _batch_agrees(spec, windows, block):
+    """The batch equals its windows one by one, concatenated, bit for bit."""
+    spec = specs.base_form(spec)
+    lo, hi = (np.array(c, dtype=np.int64) for c in zip(*windows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_CONV_BLOCK", block)
+        got = arith._window_values(spec, lo, hi)
+        one = [arith._window_values(spec, *arith._span(a, b)) for a, b in windows]
+    assert got.size == sum(b - a + 1 for a, b in windows)
+    if spec.integer_valued:
+        assert got.tolist() == [v for w in one for v in w.tolist()]
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == np.concatenate(one).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    spec=st.one_of(_trees(2), st.builds(specs.convolve, _trees(2), _trees(1))),
+    windows=_windows(300_000, [1 << k for k in range(10, 19)] + [65536 * 3]),
+    block=st.sampled_from([16, 64, 512]),
+)
+def test_window_batches_agree(spec, windows, block):
+    # a batch of windows goes through one call of each engine, with the
+    # grids, rows and pairs cut into chunks of a small _CONV_BLOCK
+    _batch_agrees(spec, windows, block)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=_trees(2, integer=True), windows=_windows(1 << 41, [1 << 40, 3 << 39]))
+def test_window_batches_agree_near_2_40(spec, windows):
+    # engine 1 alone, far out: 82025 primes below 2^20 per window
+    _batch_agrees(spec, windows, 4096)

@@ -4,10 +4,11 @@ Random integer specs on random windows go through ``sieve_range`` and must
 equal :func:`hyplab.arith.evaluate_point`, bit for bit and in exact Python
 ints where int64 could wrap, and the concatenation of their sub-windows at
 random cuts.  The windows are drawn to reach each branch of the sieve:
-primes with strided slices (p < size // 256), batched (prime, index) pairs
-(p < size), the scalar branch (p >= size) with a few primes and with
-thousands, and prime squares inside the window.  A cut moves primes across
-the size // 256 and size boundaries.
+primes with strided slices (p < size // 256, or every p < size in a small
+batch), and (window, prime, multiple) pairs, for p < size and for the primes
+p >= size with at most one multiple each, a few of them and thousands, with
+prime squares inside the window.  A cut moves primes across the size // 256
+and size boundaries.
 """
 
 import math
@@ -69,11 +70,11 @@ def _log_uniform(draw, lo_bits, hi_bits):
 def _windows(draw):
     kind = draw(st.sampled_from(["far", "wide", "mid", "square"]))
     if kind == "far":
-        # sqrt(hi) far above the size: most primes take the scalar branch
+        # sqrt(hi) far above the size: most primes have one multiple or none
         lo = _log_uniform(draw, 20, 40)
         size = draw(st.integers(1, 48))
     elif kind == "wide":
-        # thousands of primes in the scalar branch, a few strided below size // 256
+        # thousands of primes with one multiple or none, a few strided
         lo = _log_uniform(draw, 34, 36)
         size = draw(st.integers(1024, 4096))
     elif kind == "mid":
@@ -92,7 +93,7 @@ def _windows(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(spec=_integer_specs(2), window=_windows())
 # each branch for sure: strided and batched primes with p^2 = 4489 inside,
-# the scalar branch near 2^40 and on a wide window near 2^36, and exact ints
+# the primes p >= size near 2^40 and on a wide window near 2^36, exact ints
 # where int64 locals would wrap
 @example(spec=specs.tau_m(3), window=(1, 5000, (19, 2500)))
 @example(spec=specs.mu_k(2), window=(4000, 9000, ()))
@@ -102,7 +103,7 @@ def _windows(draw):
 @example(spec=specs.dirichlet_inverse(specs.tau_m(3)), window=(10**12, 10**12 + 40, ()))
 # exponents >= 4 leave the signature counts and are multiplied in at the end:
 # 3^20 in the strided branch (3 < size // 256), 211^4 among the batched pairs
-# of a 1000-entry window, 101^4 in the scalar branch (101 >= size), and the
+# of a 1000-entry window, 101^4 among the pairs of p >= size, and the
 # exact-int fix-ups of tau_40 on batched pairs
 @example(spec=specs.tau_m(3), window=(3**20 - 600, 3**20 + 423, (3**20,)))
 @example(spec=specs.tau_m(4), window=(211**4 - 500, 211**4 + 499, ()))
@@ -157,12 +158,14 @@ def test_engine1_peak_memory():
 
 def test_engine1_every_short_window_and_prefix():
     # the signature index, the binade thresholds of the leftover test and the
-    # branch cut-offs all move with lo and hi: cover every small case
+    # branch cut-offs all move with lo and hi: cover every small case, the
+    # windows that end at one hi as one batch, each prefix as a batch of one
     spec = specs.tau_m(3)
     want = [0] + [arith.evaluate_point(spec, n) for n in range(1, 5001)]
     sieve = arith._mult_window_values
     for hi in range(1, 5001):
-        for lo in range(max(1, hi - 7), hi + 1):
-            assert sieve(spec, lo, hi).tolist() == want[lo : hi + 1], (lo, hi)
+        lo = np.arange(max(1, hi - 7), hi + 1)
+        got = sieve(spec, lo, np.full(lo.size, hi)).tolist()
+        assert got == [v for a in lo.tolist() for v in want[a : hi + 1]], hi
     for N in range(1, 2001):
-        assert sieve(spec, 1, N).tolist() == want[1 : N + 1], N
+        assert sieve(spec, *arith._span(1, N)).tolist() == want[1 : N + 1], N

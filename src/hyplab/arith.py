@@ -349,12 +349,9 @@ def _chunks(count, first, block):
     total = int(ends[-1]) if ends.size else 0
     for s in range(0, total, block):
         e = min(s + block, total)
-        if e - s == total:  # one chunk: every row whole
-            i = np.repeat(np.arange(count.size), count)
-        else:
-            a, b = np.searchsorted(ends, [s, e - 1], side="right").tolist()
-            c = np.minimum(ends[a : b + 1], e) - np.maximum(ends[a : b + 1] - count[a : b + 1], s)
-            i = np.repeat(np.arange(a, b + 1), c)
+        a, b = np.searchsorted(ends, [s, e - 1], side="right").tolist()
+        c = np.minimum(ends[a : b + 1], e) - np.maximum(ends[a : b + 1] - count[a : b + 1], s)
+        i = np.repeat(np.arange(a, b + 1), c)
         yield i, np.arange(s, e) + shift[i]
 
 
@@ -437,13 +434,14 @@ def _mult_window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.nd
     code = _THRESHOLD[k].repeat(np.minimum(hi[i] + 1, 2 << k) - np.maximum(lo[i], 1 << k))
     fix = []  # (positions, exponents >= 4) to multiply in at the end
     # window i sieves the primes ps[:last[i]]; a prime with over 256
-    # multiples there pays its numpy calls back with slices, and so do the
-    # primes below the window sizes when the batch holds fewer than 32 of
-    # them, whose cells cost about as much as 32 slices
+    # multiples there pays its numpy calls back with slices, and so do all
+    # primes of a batch whose windows are longer than their primes (a small
+    # prefix table) when it holds fewer than 32 of them: the cell pass it
+    # then skips costs about as much as 32 slices
     last = np.searchsorted(ps, _isqrt(hi), side="right")
-    strided, below = np.minimum(np.searchsorted(ps, [size // 256, size]), last)
-    if (below - strided).sum() < 32:
-        strided = below
+    strided = np.minimum(np.searchsorted(ps, size // 256), last)
+    if (last <= np.searchsorted(ps, size)).all() and (last - strided).sum() < 32:
+        strided = last
     for i in np.flatnonzero(strided).tolist():
         o, m0, s = int(off[i]), int(lo[i]), int(size[i])
         window = code[o : o + s]
@@ -711,8 +709,7 @@ def _window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     for i in np.flatnonzero(near).tolist():
         a, b = int(lo[i]), int(hi[i])
         fv = _real_values(f, *_span(1, b))
-        # a square f * f evaluates its factor once
-        gv = fv if g == f else _real_values(g, *_span(1, b))
+        gv = _real_values(g, *_span(1, b))
         _conv_sweep(out[a + base[i] : b + base[i] + 1], a, b, fv, gv)
     if not near.all():
         far = ~near

@@ -175,3 +175,16 @@ def test_window_batches_agree(spec, windows, block):
 def test_window_batches_agree_near_2_40(spec, windows):
     # engine 1 alone, far out: 82025 primes below 2^20 per window
     _batch_agrees(spec, windows, 4096)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lo", [2**53 + 1, 2**53 - 20, 2**60 + 1])
+def test_log_leaf_windows_past_2_53(k, lo):
+    # past 2^53 a float does not hold every integer: each point of a window
+    # is rounded on its own, as the point route's expression rounds it (the
+    # point route itself refuses there, since it factors n first)
+    spec = specs.log_pow(k)
+    hi = lo + 39
+    got = arith.sieve_range(spec, lo, hi).values
+    one = [arith._leaf_values(spec, np.array([n]))[0] for n in range(lo, hi + 1)]
+    assert got.tobytes() == np.array(one).tobytes()

@@ -332,11 +332,12 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _runs(first, step, count) -> np.ndarray:
-    """first[r] + t step[r] for 0 <= t < count[r], run after run."""
+    """first[r] + t step[r] for 0 <= t < count[r], run after run; step may be a number."""
     starts = np.cumsum(count) - count
-    return np.arange(int(count.sum())) * np.repeat(step, count) + np.repeat(
-        first - starts * step, count
-    )
+    t = np.arange(int(count.sum()))
+    t *= np.repeat(step, count) if np.ndim(step) else step
+    t += np.repeat(first - starts * step, count)
+    return t
 
 
 def _chunks(count, first, block):
@@ -532,18 +533,6 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 _LEAVES = ("one", "log_pow")
 
 
-def _points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integers of the windows [lo[i], hi[i]], window after window."""
-    size = hi - lo + 1
-    a = int(lo[0])
-    t = np.arange(a, a + int(size.sum()), dtype=np.int64)
-    # a window that starts where the one before it ends needs no shift
-    shift = lo - lo[0] - (np.cumsum(size) - size)
-    if shift.any():
-        t += np.repeat(shift, size)
-    return t
-
-
 def _leaf_values(spec: FuncSpec, t: np.ndarray) -> np.ndarray:
     """A leaf (``one`` or ``log_pow``) at the integer points ``t``."""
     if spec.kind == "one":
@@ -692,7 +681,7 @@ def _window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     """
     kind = spec.kind
     if kind in _LEAVES:
-        return _leaf_values(spec, _points(lo, hi))
+        return _leaf_values(spec, _runs(lo, 1, hi - lo + 1))
     if prime_power_locals(spec) is not None:
         return _mult_window_values(spec, lo, hi)
     if kind == "pointwise":
@@ -930,19 +919,20 @@ def short_sum_bruteforce(spec: FuncSpec, x: int, y: int):
     return total
 
 
-def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
-    """Sums of b over the windows (x // v, top // v], one per entry of v.
+def _window_sums(b: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of b over the windows (lo[i], hi[i]], 0 <= lo[i] <= hi[i]; the batch may be empty.
 
-    Up to ``PREFIX_WINDOW_MAX`` they are differences of b's prefix table.
-    Past it the windows, cut into pieces of at most ``SEGMENT_CAP`` entries
-    as short_sum_bruteforce cuts a window, go through the engines in batches
-    (_piece_sums), and the sums are not cached: a leg has thousands of short
-    windows, each used once.  An integer sum is exact, and a real one is one
-    ``math.fsum`` over its window's values, so no sum depends on its batch.
+    When the largest hi is at most ``PREFIX_WINDOW_MAX`` they are differences
+    of b's prefix table up to it.  Past it the windows, cut into pieces of at
+    most ``SEGMENT_CAP`` entries as short_sum_bruteforce cuts a window, go
+    through the engines in batches (_piece_sums), and the sums are not
+    cached: a leg has thousands of short windows, each used once.  An integer
+    sum is exact, and a real one is one ``math.fsum`` over its window's
+    values, so no sum depends on its batch.
     """
-    lo, hi = x // v, top // v
     if b.kind == "one":
         return hi - lo
+    top = int(hi.max(initial=0))
     if top <= PREFIX_WINDOW_MAX:
         sums = prefix_sums(b, top)
         return sums[hi] - sums[lo]
@@ -952,10 +942,10 @@ def _window_sums(b: FuncSpec, x: int, top: int, v: np.ndarray) -> np.ndarray:
     a = _runs(lo[w] + 1, np.full(w.size, SEGMENT_CAP), n)
     parts = _piece_sums(base_form(b), a, a + np.minimum(np.repeat(hi[w], n) - a, SEGMENT_CAP - 1))
     if b.integer_valued:
-        out = np.zeros(v.size, dtype=object)
+        out = np.zeros(lo.size, dtype=object)
         out[w] = np.add.reduceat(np.fromiter(parts, object, a.size), np.cumsum(n) - n)
         return out
-    out = np.zeros(v.size)
+    out = np.zeros(lo.size)
     chain, islice = itertools.chain.from_iterable, itertools.islice
     out[w] = [math.fsum(chain(islice(parts, k))) for k in n.tolist()]
     return out

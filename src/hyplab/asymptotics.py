@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import prefix_values, short_sum_bruteforce
+from .arith import _dot, prefix_values, short_sum_bruteforce
 from .errors import PreconditionError
 from .hyperbola import _leg
 from .specs import FuncSpec, one
@@ -236,7 +236,8 @@ def tail_window_sum_check(
             f"tail window requires max(y, x/y) <= T <= x, got T = {T}"
         )
     K = int(x // Tq)
-    value = float(_leg(one(), f, x, x + y, K))
+    _, ones, sums = _leg(one(), f, x, x + y, K, 0)
+    value = float(_dot(ones, sums))
     prediction = (
         y * h.leading / (h.s + 1) * (math.log(x) ** (h.s + 1) - math.log(T) ** (h.s + 1))
     )

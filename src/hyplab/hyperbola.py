@@ -1,31 +1,35 @@
 """Dirichlet's hyperbola method, long form and short-interval form.
 
-The short form rewrites a window sum of a convolution exactly:
+Both forms are one two-leg split.  With D = floor(T), each pair (d, k) with
+x < dk <= x+y has d <= D or d > D, so for 0 <= x and 1 <= T <= x+y
 
     sum over x < n <= x+y of (f * g)(n)
-        =   sum over d <= T of f(d) (window sum of g on (x/d, (x+y)/d])
-          + sum over k <= x/T of g(k) (window sum of f on (x/k, (x+y)/k])
-          + boundary term
+        =   sum over d <= D of f(d) (window sum of g on (x/d, (x+y)/d])
+          + sum over k <= (x+y)/T of g(k) (window sum of f on (max(x/k, D), (x+y)/k])
 
-provided 1 <= max(y, x/y) <= T <= x.  Under that hypothesis the interval
-(x/T, (x+y)/T] contains at most one integer k0 = floor((x+y)/T), and the
-boundary term equals g(k0) times the f-sum over (T, (x+y)/k0]; it vanishes
-whenever the interval holds no integer or (x+y)/T is itself an integer.
-The split is an identity, not an estimate, and the tests hold it to exact
-equality on integer-valued inputs.
+with every window end floored.  The short form asks 1 <= max(y, x/y) <= T
+<= x.  Then x/k >= T for k <= x/T, so those windows are (x/k, (x+y)/k], and
+the interval (x/T, (x+y)/T] holds at most one integer k0 = floor((x+y)/T).
+The k-leg's last window, (D, (x+y)/k0], is then the boundary term: g(k0)
+times the f-sum over it, reported apart from the k <= x/T of ``term_k``.  It
+vanishes when the interval holds no integer or (x+y)/T is itself an
+integer.  The long form is the same split at x = 0, a sum over n <= x with
+no correction term.  The split is an identity, not an estimate, and the
+tests hold it to exact equality on integer-valued inputs.
 
 T is a real parameter.  All floor comparisons against T go through exact
 rational arithmetic (a float is a dyadic rational), so boundary cases are
 classified exactly and the identity survives adversarial T.
 
-Both legs are one sum with f and g swapped: ``_leg(a, b, ...)`` adds a(v)
-times the b-sum on (x/v, (x+y)/v] over the v <= V with a(v) != 0.  The inner
-b-sums come from ``arith._window_sums``, as differences of a prefix table up
-to its cap and as one window each past it; arith refuses a prefix table past
-its cap, so a T or an x too large exits 4.  The long identity and
-``asymptotics.tail_window_sum_check`` sum through the same leg.
-Integer legs are exact Python ints on every route; ``arith._dot`` reads that
-off the dtypes of the two arrays it sums.
+Both legs are one routine with f and g swapped: ``_leg`` takes the v <= V
+with a(v) != 0 from a's prefix table and the b-sums on their windows from one
+``arith._window_sums`` call, as differences of a prefix table up to its cap
+and as one window each past it.  arith refuses a prefix table past its cap,
+so a T too large, or a long-form x past it, exits 4.
+``asymptotics.tail_window_sum_check`` sums through the same leg.  Integer
+legs and boundary terms are exact Python ints on every route, and a zero one
+has the type of its leg; ``arith._dot`` reads both off the dtypes of the two
+arrays it sums.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ class HyperbolaDecomposition:
 
     ``total = term_d + term_k + boundary_term`` holds exactly, and equals the
     windowed sum of the convolution.  ``d_count = floor(T)`` and
-    ``k_count = floor(x/T)`` are the index ranges of the two legs (T + x/T
-    work, not x).
+    ``k_count = floor(x/T)`` are the index ranges of ``term_d`` and
+    ``term_k``; the boundary adds at most one index (T + x/T work, not x).
     """
 
     term_d: object
@@ -88,11 +92,11 @@ def _as_fraction(T) -> Fraction:
         raise PreconditionError(f"T must be a finite real number, got {T!r}") from exc
 
 
-def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int):
-    """sum over v <= V of a(v) (b-sum on (x/v, top/v]), skipping a(v) = 0."""
+def _leg(a: FuncSpec, b: FuncSpec, x: int, top: int, V: int, D: int):
+    """The v <= V with a(v) != 0, those a(v), and the b-sums on (max(x // v, D), top // v]."""
     av = arith.prefix_values(a, V)
     v = np.flatnonzero(av)
-    return arith._dot(av[v], arith._window_sums(b, x, top, v))
+    return v, av[v], arith._window_sums(b, np.maximum(x // v, D), top // v)
 
 
 def short_hyperbola(
@@ -111,20 +115,13 @@ def short_hyperbola(
 
     D = math.floor(Tq)
     K = x // Tq
-    isint = f.integer_valued and g.integer_valued
     top = x + y
-
-    term_d = _leg(f, g, x, top, D)
-    term_k = _leg(g, f, x, top, K)
-
-    # boundary: the single integer the interval (x/T, (x+y)/T] can contain
-    k0 = top // Tq
-    if k0 > K:
-        inner = arith.short_sum_bruteforce(f, D, top // k0 - D)
-        boundary = arith.evaluate_point(g, k0) * inner
-    else:
-        boundary = 0 if isint else 0.0
-
+    _, fd, gs = _leg(f, g, x, top, D, 0)
+    k, gk, fs = _leg(g, f, x, top, top // Tq, D)
+    # past K the k-leg holds at most one window: the boundary's, k0
+    cut = np.searchsorted(k, K, side="right")
+    term_d, term_k = arith._dot(fd, gs), arith._dot(gk[:cut], fs[:cut])
+    boundary = arith._dot(gk[cut:], fs[cut:])
     total = term_d + term_k + boundary
     return HyperbolaDecomposition(term_d, term_k, boundary, total, float(Tq), x, y, D, K)
 
@@ -137,12 +134,11 @@ def long_hyperbola(f: FuncSpec, g: FuncSpec, x: int, T):
     if not (1 <= Tq <= x):
         raise PreconditionError(f"long hyperbola requires 1 <= T <= x, got T = {T}")
     D = math.floor(Tq)
-    K = x // Tq
-    isint = f.integer_valued and g.integer_valued
-    # both tables built at x first, so the legs' reads at D and K hit them
-    FD, GK = arith.prefix_sums(f, x)[D], arith.prefix_sums(g, x)[K]
-    corr = int(FD) * int(GK) if isint else float(FD) * float(GK)
-    return _leg(f, g, 0, x, D) + _leg(g, f, 0, x, K) - corr
+    # f's table built at x first: both legs read it, and an x past the cap is refused
+    arith.prefix_sums(f, x)
+    _, fd, gs = _leg(f, g, 0, x, D, 0)
+    _, gk, fs = _leg(g, f, 0, x, x // Tq, D)
+    return arith._dot(fd, gs) + arith._dot(gk, fs)
 
 
 def sawtooth_block_sum(f: FuncSpec, N: int, x: int, y: int) -> float:

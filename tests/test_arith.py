@@ -277,16 +277,17 @@ def test_window_sums_past_the_cap_are_batched(b, monkeypatch):
     # the windows of v > 1000 hold one entry or none
     x, top = 2_000_000, 2_001_000
     v = np.arange(1, 1201)
+    lo, hi = x // v, top // v
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", 100_000)
-    want = [arith.short_sum_bruteforce(b, x // k, top // k - x // k) for k in v.tolist()]
-    arith._window_sums(b, x, top, v)  # warm the caches
+    want = [arith.short_sum_bruteforce(b, a, c - a) for a, c in zip(lo.tolist(), hi.tolist())]
+    arith._window_sums(b, lo, hi)  # warm the caches
     tracemalloc.start()
     try:
-        got = arith._window_sums(b, x, top, v)
+        got = arith._window_sums(b, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    entries = int((top // v - x // v).sum())
+    entries = int((hi - lo).sum())
     assert peak <= 16 * entries + (2 << 20)
     if b.integer_valued:
         assert got.dtype == object and got.tolist() == want

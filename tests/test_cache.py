@@ -202,9 +202,9 @@ def test_hyperbola_legs_store_no_segments(tmp_path, monkeypatch):
     finally:
         arith.set_segment_cache(None)
         arith.clear_table_cache()
-    # T = 700 puts the one integer 286 in (x/T, (x+y)/T]: the sum over its
-    # boundary window (700, 701] is the only file stored
-    assert len(list(tmp_path.iterdir())) == 1
+    # T = 700 puts the one integer 286 in (x/T, (x+y)/T]: its boundary
+    # window (700, 701] is the k-leg's last window, so nothing is stored
+    assert len(list(tmp_path.iterdir())) == 0
     plain = io.StringIO()
     with contextlib.redirect_stdout(plain):
         assert cli.main(argv.split()) == 0

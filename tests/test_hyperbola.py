@@ -102,7 +102,7 @@ _FAR_CAP = 5_000
 
 
 def test_far_route_matches_bruteforce(monkeypatch):
-    """Above the prefix cap every inner window is a short_sum_bruteforce call."""
+    """Above the prefix cap the leg windows are summed through the engines in batches."""
     monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", _FAR_CAP)
     arith.clear_table_cache()
     rng = random.Random(2024)
@@ -131,6 +131,45 @@ def test_far_route_matches_bruteforce(monkeypatch):
     )
     with pytest.raises(SegmentCapError):
         hyperbola.long_hyperbola(f, g, _FAR_CAP + 1, 70.0)
+
+
+@pytest.mark.parametrize("cap", [arith.PREFIX_WINDOW_MAX, _FAR_CAP])
+@pytest.mark.parametrize(
+    "f,g",
+    [(specs.tau_m(2), specs.mobius()), (specs.log_pow(1), specs.tau_m(2))],
+    ids=str,
+)
+def test_boundary_is_the_k_legs_last_window(f, g, cap, monkeypatch):
+    # the boundary term comes from the k-leg's window sums and coefficient
+    # table, on the table route and past the cap alike: no point value and
+    # no window summed on its own
+    x = 20_000
+    y = 4 * math.isqrt(x) + 3
+    T = Fraction(x + 1, x // y)  # puts k0 = x // y in (x/T, (x+y)/T]
+    h = specs.convolve(f, g)
+    brute, brute_long = (arith.short_sum_bruteforce(h, a, b) for a, b in ((x, y), (0, _FAR_CAP)))
+
+    def never(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(arith, "PREFIX_WINDOW_MAX", cap)
+    monkeypatch.setattr(arith, "evaluate_point", never)
+    monkeypatch.setattr(arith, "short_sum_bruteforce", never)
+    arith.clear_table_cache()
+    try:
+        dec = hyperbola.short_hyperbola(f, g, x, y, T)
+        got_long = hyperbola.long_hyperbola(f, g, _FAR_CAP, 70.0)
+    finally:
+        arith.clear_table_cache()
+    assert dec.boundary_term != 0
+    assert dec.total == dec.term_d + dec.term_k + dec.boundary_term
+    if f.integer_valued and g.integer_valued:
+        parts = (dec.term_d, dec.term_k, dec.boundary_term, dec.total, got_long)
+        assert all(type(v) is int for v in parts)
+        assert (dec.total, got_long) == (brute, brute_long)
+    else:
+        assert dec.total == pytest.approx(brute, rel=1e-12)
+        assert got_long == pytest.approx(brute_long, rel=1e-12)
 
 
 def test_real_valued_path_matches_brute():
@@ -170,6 +209,22 @@ def test_long_hyperbola_T_independence():
         got = hyperbola.long_hyperbola(specs.one(), specs.one(), x, T)
         ref = got if ref is None else ref
         assert got == ref
+
+
+@pytest.mark.parametrize(
+    "f,g",
+    [(specs.log_pow(1), specs.one()), (specs.log_pow(1), specs.log_pow(1))],
+    ids=str,
+)
+def test_long_hyperbola_real_pairs(f, g):
+    x = 4000
+    fv = [arith.evaluate_point(f, n) for n in range(1, x + 1)]
+    gv = [arith.evaluate_point(g, n) for n in range(1, x + 1)]
+    brute = math.fsum(fv[d - 1] * gv[k - 1] for d in range(1, x + 1) for k in range(1, x // d + 1))
+    for T in (1.0, float(round(x ** (1 / 3))), float(math.isqrt(x)), float(x)):
+        got = hyperbola.long_hyperbola(f, g, x, T)
+        assert type(got) is float
+        assert got == pytest.approx(brute, rel=1e-12), T
 
 
 def test_sawtooth_block_sum_example():

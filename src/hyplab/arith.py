@@ -488,7 +488,7 @@ def _mult_window_values(spec: FuncSpec, lo: np.ndarray, hi: np.ndarray) -> np.nd
     np.right_shift(code, 12, out=code)
     T = _signature_table(spec, bits)
     # every index is in range; "clip" into a given array skips take()'s
-    # bounds pass and its int32-to-intp copy of the indices
+    # bounds pass, but take() still copies the int32 codes to intp indices
     out = T.take(code, out=np.empty(code.size, dtype=T.dtype), mode="clip")
     if fix:
         L = _local_table(spec, bits)

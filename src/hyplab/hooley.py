@@ -40,14 +40,17 @@ on a one-row block of divisors(n), and the range functions
 (:func:`iter_delta_values`, :func:`delta_short_sum`,
 :func:`delta_weighted_prefix`) on blocks of consecutive n.  A block is one
 CSR array: ``a[offsets[i]:offsets[i + 1]]`` are the sorted divisors of its
-i-th n.  A range block is sieved in numpy with only d <= sqrt(hi), so a
-window (x, x+y] costs about y tau + sqrt(x) work, in blocks of bounded
-memory.  The window ends J of the whole block come from one searchsorted on
-the integer key row * stride + a, against the integer threshold
-t = ceil(a * _E_TOP) - 1: an integer d is below the float a * _E_TOP exactly
-when d <= t, so J stays exact past 2^53.  Delta_2 is a per-row maximum of
-J - i; Delta_3 stacks the rows of equal tau and takes the box maxima of the
-whole stack at once.
+i-th n.  A range block is sieved in numpy with only d <= sqrt(hi), its
+(row, d) pairs put row-major by a radix sort, so a window (x, x+y] costs
+about y tau + sqrt(x) work, in blocks of bounded memory; the range
+functions take the values a block at a time.  The window ends J of the
+whole block come from one searchsorted on the integer key row * stride + a,
+against the integer threshold t = ceil(a * _E_TOP) - 1: an integer d is
+below the float a * _E_TOP exactly when d <= t, so J stays exact past 2^53.
+Delta_2 is a per-row maximum of J - i.  Delta_3 stacks the rows of equal
+tau and takes the box maxima of the whole stack at once, from an int32
+prefix table held transposed, so that both window differences gather whole
+rows.
 """
 
 from __future__ import annotations
@@ -283,25 +286,30 @@ def _first_refused(offsets: np.ndarray, a: np.ndarray, ends: np.ndarray, r: int,
     return tau.size, None
 
 
-def _boxes3(A: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boxes3(A: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Delta_3 box sums of a stack of rows of equal tau: A the divisors, E the local ends.
 
     box[s, i, j] counts the pairs of row s with the first divisor in
-    [A[i], A[J[i]]) and the second in [A[j], A[J[j]]); cols[s, i, j] those
-    with the first in that window and the second below A[j].
+    [A[i], A[J[i]]) and the second in [A[j], A[J[j]]).  The prefix table is
+    held transposed, so both window differences gather whole rows.  Every
+    count is at most tau_3(n) <= t^2, so the table is int32 up to t = 46340
+    and int64 past it, where only a raised work cap lets a row through.
     """
     c, t = A.shape
-    # prefix[s, k, j] counts the pairs (k' < k, j' < j) with A[j'] | n / A[k'] = A[t-1-k'].
-    prefix = np.zeros((c, t + 1, t + 1), dtype=np.int64)
-    inner = prefix[:, 1:, 1:]
-    np.cumsum(A[:, ::-1, None] % A[:, None, :] == 0, axis=1, out=inner)
-    np.cumsum(inner, axis=2, out=inner)
-    cols = np.take_along_axis(prefix, E[:, :, None], 1)
-    cols -= prefix[:, :t]
-    del prefix, inner
-    box = np.take_along_axis(cols, E[:, None, :], 2)
-    box -= cols[:, :, :t]
-    return box, cols
+    dtype = np.int32 if t * t <= np.iinfo(np.int32).max else np.int64
+    # P[s, j, k] counts the pairs (k' < k, j' < j) with A[j'] | n / A[k'] = A[t-1-k'].
+    P = np.zeros((c, t + 1, t + 1), dtype=dtype)
+    inner = P[:, 1:, 1:]
+    np.cumsum(A[:, None, ::-1] % A[:, :, None] == 0, axis=2, dtype=dtype, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    s = np.arange(c)[:, None]
+    Q = P[s, E]  # Q[s, j, k]: second in [j, J[j]), first below k
+    Q -= P[:, :t]
+    del P, inner
+    Q = Q.transpose(0, 2, 1).copy()
+    box = Q[s, E]
+    box -= Q[:, :t]
+    return box
 
 
 def _block_deltas(offsets: np.ndarray, a: np.ndarray, r: int, cap: int):
@@ -334,7 +342,7 @@ def _block_deltas(offsets: np.ndarray, a: np.ndarray, r: int, cap: int):
             rows = group[k : k + step]
             base = starts[rows, None]
             idx = base + np.arange(t)
-            box, _ = _boxes3(a[idx], ends[idx] - base)
+            box = _boxes3(a[idx], ends[idx] - base)
             values[rows] = box.reshape(rows.size, -1).max(1)
     return values.tolist(), err
 
@@ -366,13 +374,14 @@ def delta_r(n: int, r: int, *, work_cap: int | None = None) -> DeltaValue:
         run = ends - np.arange(a.size)
         i = int(run.argmax())
         return DeltaValue(n, r, int(run[i]), (math.log(ds[i]) - _EDGE_NUDGE,))
-    box, cols = _boxes3(a[None], ends[None])
-    box, cols = box[0], cols[0]
+    box = _boxes3(a[None], ends[None])[0]
     row_best = box.max(1)
     i = int(row_best.argmax())
     best = int(row_best[i])
-    # first best column of row i whose own column count is nonzero
-    j = int(((box[i] == best) & (cols[i, 1:] > cols[i, :-1])).argmax())
+    # first best column of row i whose own column count is nonzero: a[j]
+    # divides some cofactor n / a[k] = a[-1 - k] with k in [i, J[i])
+    live = (a[::-1][i : ends[i], None] % a == 0).any(0)
+    j = int(((box[i] == best) & live).argmax())
     return DeltaValue(n, r, best, (math.log(ds[i]) - _EDGE_NUDGE, math.log(ds[j]) - _EDGE_NUDGE))
 
 
@@ -513,7 +522,10 @@ def _divisor_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR divisors of n in [lo, hi]: row n - lo is a[offsets[n - lo]:offsets[n - lo + 1]], sorted.
 
     Only d <= sqrt(hi) is sieved, as (row, d) pairs; each row's larger
-    divisors are the cofactors n // d in reverse, the square root once.
+    divisors are the cofactors n // d in reverse, the square root once.  The
+    pairs go row-major by a stable argsort of the rows cast to the smallest
+    unsigned type that holds hi - lo: uint16 for a block of at most _BLOCK
+    rows, where numpy's stable sort is a radix sort.
     """
     d = np.arange(1, math.isqrt(hi) + 1, dtype=np.int64)
     first = np.maximum(-(-lo // d) * d, d * d) - lo  # row of the first multiple
@@ -521,7 +533,8 @@ def _divisor_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     dd = np.repeat(d, count)
     row = np.repeat(first - (np.cumsum(count) - count) * d, count)
     row += np.arange(dd.size) * dd
-    order = np.argsort(row, kind="stable")  # row-major, d ascending in each row
+    # row-major, d ascending in each row
+    order = np.argsort(row.astype(np.min_scalar_type(hi - lo)), kind="stable")
     row = row[order]
     dd = dd[order]
     del order
@@ -542,18 +555,27 @@ def _divisor_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, a
 
 
-def _range_deltas(lo: int, hi: int, r: int):
-    """Yield (n, Delta_r(n)) over [lo, hi], each n under its own WORK_CAP."""
+def _delta_blocks(lo: int, hi: int, r: int):
+    """Yield (start, values) per block of [lo, hi]: values[k] is Delta_r(start + k).
+
+    Each n is under its own WORK_CAP; a refused n ends its block's values
+    and is raised once they are yielded.
+    """
     if r not in (2, 3, 4):
         raise PreconditionError(f"Delta_r ranges support r in {{2, 3, 4}}, got {r}")
     cap = WORK_CAP
     size = min(_BLOCK, MAX_N // max(hi, 1))  # keeps _block_ends' keys inside int64
     for start in range(lo, hi + 1, size):
-        stop = min(start + size - 1, hi)
-        values, err = _block_deltas(*_divisor_block(start, stop), r, cap)
-        yield from zip(range(start, stop + 1), values)
+        values, err = _block_deltas(*_divisor_block(start, min(start + size - 1, hi)), r, cap)
+        yield start, values
         if err is not None:
             raise err
+
+
+def _range_deltas(lo: int, hi: int, r: int):
+    """Yield (n, Delta_r(n)) over [lo, hi], each n under its own WORK_CAP."""
+    for start, values in _delta_blocks(lo, hi, r):
+        yield from zip(range(start, start + len(values)), values)
 
 
 def iter_delta_values(lo: int, hi: int, r: int):
@@ -572,11 +594,11 @@ def delta_short_sum(r: int, x: int, y: int) -> int:
     """Exact sum of Delta_r(n) over the window (x, x+y]; x = 0 sums a prefix.
 
     Costs about y tau + sqrt(x) work; the work cap applies per n, as in
-    :func:`iter_delta_values`.
+    :func:`iter_delta_values`.  Each block's values are summed as one list.
     """
     if x < 0 or y < 0:
         raise PreconditionError("delta_short_sum requires x >= 0 and y >= 0")
-    return sum(v for _, v in _range_deltas(x + 1, x + y, r))
+    return sum(sum(values) for _, values in _delta_blocks(x + 1, x + y, r))
 
 
 def delta_weighted_prefix(r: int, x: int) -> float:

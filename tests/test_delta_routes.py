@@ -1,10 +1,11 @@
 """Differential property tests for the Delta_r range layer.
 
 The CSR divisor sieve is checked against trial division, the integer window
-ends against Python's float comparison, the one-row kernel of
-:func:`delta_r` for r = 2 and 3 against the coordinate enumeration
-``_best_windows`` (value, witness and work charged), and the range iteration
-against ``_best_windows`` and :func:`delta_r` at single points.
+ends against Python's float comparison, the Delta_3 box sums against a
+direct count of every box, the one-row kernel of :func:`delta_r` for r = 2
+and 3 against the coordinate enumeration ``_best_windows`` (value, witness
+and work charged), and the range iteration against ``_best_windows`` and
+:func:`delta_r` at single points.
 """
 
 import math
@@ -60,6 +61,52 @@ def test_divisor_lists_at_squares(k, before, after):
     got = _lists(lo, hi)
     assert got == [(n, _trial_divisors(n)) for n in range(lo, hi + 1)]
     assert dict(got)[k * k].count(k) == 1
+
+
+def test_divisor_block_wider_than_a_16_bit_row_key(monkeypatch):
+    # a _BLOCK past 2^16 rows widens _divisor_block's sort key past uint16
+    lo, hi = 900_001, 900_001 + 2**16 + 36
+    blocks = []
+    sieve = hooley._divisor_block
+
+    def recorded(lo, hi):
+        blocks.append((lo, hi, sieve(lo, hi)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(hooley, "_BLOCK", 2**17)
+    monkeypatch.setattr(hooley, "_divisor_block", recorded)
+    hooley.delta_short_sum(2, lo - 1, hi - lo + 1)
+    assert [(b_lo, b_hi) for b_lo, b_hi, _ in blocks] == [(lo, hi)]
+    offsets, a = blocks[0][2]
+    # trial division by every d <= sqrt(n), one pass over the whole block per d
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    rows, divs = [], []
+    for d in range(1, math.isqrt(hi) + 1):
+        hit = np.flatnonzero((n % d == 0) & (n >= d * d))
+        big = hit[n[hit] != d * d]
+        rows += [hit, big]
+        divs += [np.full(hit.size, d), n[big] // d]
+    rows, divs = np.concatenate(rows), np.concatenate(divs)
+    order = np.lexsort((divs, rows))
+    np.testing.assert_array_equal(np.diff(offsets), np.bincount(rows, minlength=n.size))
+    np.testing.assert_array_equal(a, divs[order])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), c=st.integers(1, 4), t=st.integers(1, 10))
+def test_boxes3_counts_every_box(data, c, t):
+    # any positive rows and any ends E[i] in [i, t]: the box sums are a
+    # direct count of M[s, k, j] = [A[s, j] | A[s, t-1-k]] over each box
+    A = np.array(data.draw(st.lists(st.lists(st.integers(1, 60), min_size=t, max_size=t),
+                                    min_size=c, max_size=c)), dtype=np.int64)
+    E = np.array([[data.draw(st.integers(i, t)) for i in range(t)] for _ in range(c)])
+    box = hooley._boxes3(A, E)
+    M = (A[:, ::-1, None] % A[:, None, :] == 0).astype(np.int64)
+    want = [
+        [[M[s, i : E[s, i], j : E[s, j]].sum() for j in range(t)] for i in range(t)]
+        for s in range(c)
+    ]
+    assert box.tolist() == want
 
 
 def _check_against_enumeration(n, r):
@@ -126,6 +173,13 @@ def test_range_blocks_match_enumeration(lo, y, block, r):
     with mock.patch.object(hooley, "_BLOCK", block):
         got = list(hooley.iter_delta_values(lo, lo + y, r))
     assert got == [(n, _enumerated(n, r)) for n in range(lo, lo + y + 1)]
+
+
+@pytest.mark.parametrize("x", [358153, 555496, 708738, 990683])
+def test_benchmark_sized_delta3_windows_match_enumeration(x):
+    # every Delta_3 value of a 750-entry window, the size delta_windows times
+    got = list(hooley.iter_delta_values(x + 1, x + 750, 3))
+    assert got == [(n, _enumerated(n, 3)) for n in range(x + 1, x + 751)]
 
 
 _NEAR_2_53 = st.integers(2**53 - 64, 2**53 + 64)
